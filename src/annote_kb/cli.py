@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     AllUnresolvedError,
@@ -27,7 +27,7 @@ from .errors import (
     NoCandidatesError,
     QuerySyntaxError,
 )
-from .factfile import format_values, load_facts, load_facts_into, save_facts
+from .factfile import LoadResult, load_facts, load_facts_into, save_facts
 from .inference import explicate
 from .model import Explicitness, classify
 from .query import (
@@ -37,6 +37,7 @@ from .query import (
     rewrite_constrained,
     stored_list_rewrite,
 )
+from .quoting import format_values
 from .store import KnowledgeBase
 
 EXIT_OK = 0
@@ -46,43 +47,30 @@ EXIT_UNRESOLVED = 3
 EXIT_NO_CANDIDATES = 4
 
 
-@dataclass(frozen=True, slots=True)
-class CliConfig:
-    kb_path: str
-    output_format: str  # "text" | "json"
-    strict: bool
-    cap: int
-
-
 class _CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_ERROR):
         super().__init__(message)
         self.code = code
 
 
-def _config(args: argparse.Namespace) -> CliConfig:
-    if args.cap < 1:
-        raise _CliError("--cap must be at least 1")
-    return CliConfig(args.kb, args.format, args.strict, args.cap)
-
-
-def _emit(config: CliConfig, payload: dict, lines: list[str]) -> None:
-    if config.output_format == "json":
+def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+    if args.format == "json":
         print(json.dumps(payload, ensure_ascii=False, indent=2))
     else:
         for line in lines:
             print(line)
 
 
-def _read_kb(config: CliConfig) -> KnowledgeBase:
+def _read_kb(path: str) -> LoadResult:
+    """Load the kb file, listing its diagnostics on stderr as warnings."""
     try:
-        text = _read_file(config.kb_path)
+        text = _read_file(path)
     except OSError as exc:
         raise _CliError(f"cannot read kb: {exc}")
     result = load_facts(text)
     for diag in result.diagnostics:
-        print(f"warning: {config.kb_path}: {diag}", file=sys.stderr)
-    return result.kb
+        print(f"warning: {path}: {diag}", file=sys.stderr)
+    return result
 
 
 def _read_file(path: str) -> str:
@@ -103,22 +91,20 @@ def _pair_json(pair) -> dict:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    config = _config(args)
     try:
         text = _read_file(args.input)
     except OSError as exc:
         raise _CliError(f"cannot read input: {exc}")
-    try:
-        kb_text = _read_file(config.kb_path)
-    except FileNotFoundError:
-        kb = KnowledgeBase()
-    except OSError as exc:
-        raise _CliError(f"cannot read kb: {exc}")
-    else:
-        kb = load_facts(kb_text).kb
+    kb = KnowledgeBase()
+    if os.path.exists(args.kb):
+        current = _read_kb(args.kb)
+        # Rewriting the kb would drop the lines it could not load.
+        if current.diagnostics:
+            raise _CliError(f"not rewriting {args.kb}: some of its lines did not load")
+        kb = current.kb
     result = load_facts_into(kb, text)
     try:
-        with open(config.kb_path, "w", encoding="utf-8", newline="\n") as handle:
+        with open(args.kb, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(save_facts(kb))
     except OSError as exc:
         raise _CliError(f"cannot write kb: {exc}")
@@ -134,13 +120,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             for d in result.diagnostics
         ],
     }
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_PARTIAL_INGEST if rejected else EXIT_OK
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    config = _config(args)
-    kb = _read_kb(config)
+    kb = _read_kb(args.kb).kb
     states = {oid: classify(obj) for oid, obj in sorted(kb.objects.items())}
     explicit = sum(1 for s in states.values() if s is Explicitness.EXPLICIT)
     implicit = len(states) - explicit
@@ -152,25 +137,26 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "explicit": explicit,
         "implicit": implicit,
     }
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_explicate(args: argparse.Namespace) -> int:
-    config = _config(args)
-    kb = _read_kb(config)
+    if args.cap < 1:
+        raise _CliError("--cap must be at least 1")
+    kb = _read_kb(args.kb).kb
     obj = kb.objects.get(args.id)
     if obj is None:
         raise _CliError(f"unknown object id: {args.id}")
     if classify(obj) is Explicitness.EXPLICIT:
         _emit(
-            config,
+            args,
             {"command": "explicate", "id": args.id, "already_explicit": True, "candidates": []},
             [f"{args.id} is already explicit"],
         )
         return EXIT_OK
     try:
-        found = explicate(kb, obj, cap=config.cap)
+        found = explicate(kb, obj, cap=args.cap)
     except NoCandidatesError as exc:
         raise _CliError(f"no candidates for pair {exc.pair_index} of {args.id}", EXIT_NO_CANDIDATES)
     lines = [f"{len(found)} candidates for {args.id}"]
@@ -190,13 +176,12 @@ def cmd_explicate(args: argparse.Namespace) -> int:
             for ex in found
         ],
     }
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    config = _config(args)
-    kb = _read_kb(config)
+    kb = _read_kb(args.kb).kb
     try:
         expr = parse_query(args.expr)
     except QuerySyntaxError as exc:
@@ -208,13 +193,12 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise _CliError(str(exc))
     lines = [f"query: {format_query(expr)}", f"{len(ids)} results"] + ids
     payload = {"command": "query", "query": format_query(expr), "results": ids}
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_find(args: argparse.Namespace) -> int:
-    config = _config(args)
-    kb = _read_kb(config)
+    kb = _read_kb(args.kb).kb
     try:
         report = rewrite_constrained(kb, args.terms)
     except AllUnresolvedError as exc:
@@ -222,9 +206,9 @@ def cmd_find(args: argparse.Namespace) -> int:
     except AnnoteKBError as exc:
         raise _CliError(str(exc))
     unresolved = list(report.unresolved_terms)
-    if unresolved and not config.strict:
+    if unresolved and not args.strict:
         print("warning: dropping unresolved terms: " + ", ".join(unresolved), file=sys.stderr)
-    if unresolved and config.strict:
+    if unresolved and args.strict:
         ids: list[str] = []
     else:
         ids = evaluate(kb, report.rewritten)
@@ -244,26 +228,24 @@ def cmd_find(args: argparse.Namespace) -> int:
     }
     if stored_form is not None:
         payload["stored_form"] = stored_form
-    _emit(config, payload, lines)
-    return EXIT_UNRESOLVED if unresolved and config.strict else EXIT_OK
+    _emit(args, payload, lines)
+    return EXIT_UNRESOLVED if unresolved and args.strict else EXIT_OK
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
-    config = _config(args)
-    kb = _read_kb(config)
+    kb = _read_kb(args.kb).kb
     try:
         chain = kb.trace_chain(args.id)
     except AnnoteKBError as exc:
         raise _CliError(str(exc))
-    _emit(config, {"command": "chain", "chain": chain}, chain)
+    _emit(args, {"command": "chain", "chain": chain}, chain)
     return EXIT_OK
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    config = _config(args)
-    kb = _read_kb(config)
+    kb = _read_kb(args.kb).kb
     text = save_facts(kb)
-    if config.output_format == "json":
+    if args.format == "json":
         print(json.dumps({"command": "export", "facts": text}, ensure_ascii=False, indent=2))
     else:
         sys.stdout.write(text)
@@ -271,8 +253,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    config = _config(args)
-    kb = _read_kb(config)
+    kb = _read_kb(args.kb).kb
     states = [classify(obj) for obj in kb.objects.values()]
     tiers = {"primary": 0, "secondary": 0, "tertiary": 0}
     for record in kb.documents.values():
@@ -285,7 +266,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "documents": tiers,
         "annotators": len(kb.annotators),
         "attributes": len(kb.index_by_attribute),
-        "terms": len(kb.index_by_term),
+        "terms": len(kb.postings),
     }
     lines = [
         f"objects: {payload['objects']} ({payload['explicit']} explicit, "
@@ -296,7 +277,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         f"attributes: {payload['attributes']}",
         f"terms: {payload['terms']}",
     ]
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -304,13 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--kb", required=True, help="path to the fact file")
     common.add_argument("--format", choices=("text", "json"), default="text")
-    mode = common.add_mutually_exclusive_group()
-    mode.add_argument("--strict", dest="strict", action="store_true", default=True,
-                      help="unresolved find terms empty the result (default)")
-    mode.add_argument("--lenient", dest="strict", action="store_false",
-                      help="drop unresolved find terms with a warning")
-    common.add_argument("--cap", type=int, default=16,
-                        help="maximum explicitation candidates (default 16)")
 
     parser = argparse.ArgumentParser(prog="annote-kb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -324,6 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explicate", parents=[common], help="explicit candidates for an object")
     p.add_argument("id", help="object id")
+    p.add_argument("--cap", type=int, default=16,
+                   help="maximum explicitation candidates (default 16)")
     p.set_defaults(func=cmd_explicate)
 
     p = sub.add_parser("query", parents=[common], help="evaluate a boolean query")
@@ -334,6 +310,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("terms", nargs="+", help="search terms")
     p.add_argument("--show-paper-form", action="store_true",
                    help="also print the rewrite with full stored value lists")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--strict", dest="strict", action="store_true", default=True,
+                      help="unresolved terms empty the result (default)")
+    mode.add_argument("--lenient", dest="strict", action="store_false",
+                      help="drop unresolved terms with a warning")
     p.set_defaults(func=cmd_find)
 
     p = sub.add_parser("chain", parents=[common], help="follow targets down to the document")

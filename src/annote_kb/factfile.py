@@ -40,7 +40,7 @@ from .model import (
     normalize_attribute,
     normalize_term,
 )
-from .quoting import quote, scan_quoted
+from .quoting import format_values, quote, scan_quoted
 from .store import KnowledgeBase
 
 HEADER = "% annote-kb fact base"
@@ -356,17 +356,6 @@ def _checked_id(some_id: str) -> str:
     if not _SAVE_IDENT.match(some_id):
         raise ValueError(f"id not representable in a fact file: {some_id!r}")
     return some_id
-
-
-def format_value(value: Value) -> str:
-    """Render one value in file syntax: "term" or ("term", rank)."""
-    if value.rank is None:
-        return quote(value.term)
-    return f"({quote(value.term)}, {value.rank})"
-
-
-def format_values(values: tuple[Value, ...]) -> str:
-    return "[" + ", ".join(format_value(v) for v in values) + "]"
 
 
 def save_facts(kb: KnowledgeBase) -> str:

@@ -19,7 +19,6 @@ from .model import (
     AttributeName,
     AVPair,
     Explicitness,
-    Term,
     Value,
     classify,
     is_explicit_pair,
@@ -53,24 +52,6 @@ class ValueCandidate:
         return len(self.support)
 
 
-def _covering_objects(kb: KnowledgeBase, attribute: AttributeName, terms: list[Term]) -> set[str]:
-    """Objects holding one explicit pair under attribute covering all terms."""
-    candidates: set[str] | None = None
-    for term in terms:
-        posting = {oid for attr, oid in kb.index_by_term.get(term, ()) if attr == attribute}
-        candidates = posting if candidates is None else candidates & posting
-        if not candidates:
-            return set()
-    needed = set(terms)
-    covering: set[str] = set()
-    for oid in candidates:
-        for pair in kb.objects[oid].pairs:
-            if pair.attribute == attribute and needed <= pair.terms():
-                covering.add(oid)
-                break
-    return covering
-
-
 def infer_attributes(kb: KnowledgeBase, terms: list[str]) -> list[AttributeCandidate]:
     """Attributes under which some object carries every given term.
 
@@ -82,10 +63,9 @@ def infer_attributes(kb: KnowledgeBase, terms: list[str]) -> list[AttributeCandi
     if not terms:
         raise ValueError("at least one term is required")
     wanted = [normalize_term(t) for t in terms]
-    first = kb.index_by_term.get(wanted[0], set())
     out: list[AttributeCandidate] = []
-    for attribute in {attr for attr, _ in first}:
-        covering = _covering_objects(kb, attribute, wanted)
+    for attribute in kb.postings.get(wanted[0], {}):
+        covering = kb.covering(attribute, wanted)
         if covering:
             out.append(AttributeCandidate(attribute, tuple(sorted(covering))))
     out.sort(key=lambda c: (-c.support_count, c.attribute))

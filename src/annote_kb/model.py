@@ -123,6 +123,14 @@ def is_explicit_pair(pair: AVPair) -> bool:
     return pair.attribute is not None and bool(pair.values)
 
 
+def covers(obj: AnnotationObject, attribute: AttributeName, terms: set[Term]) -> bool:
+    """True when one pair of obj has attribute and value terms including all of terms.
+
+    Ranks are ignored; terms spread over two pairs do not count.
+    """
+    return any(pair.attribute == attribute and terms <= pair.terms() for pair in obj.pairs)
+
+
 class Explicitness(Enum):
     EXPLICIT = "explicit"
     IMPLICIT = "implicit"

@@ -37,10 +37,11 @@ from .model import (
     AnnotationObject,
     AttributeName,
     Term,
+    covers,
     normalize_attribute,
     normalize_term,
 )
-from .quoting import quote, scan_quoted
+from .quoting import format_values, quote, scan_quoted
 from .store import KnowledgeBase
 
 
@@ -251,11 +252,7 @@ def matches(obj: AnnotationObject, criterion: Criterion) -> bool:
         raise UnresolvedCriterionError(
             "criterion has no attribute; rewrite it with rewrite_constrained first"
         )
-    needed = set(criterion.values)
-    for pair in obj.pairs:
-        if pair.attribute == criterion.attribute and needed <= pair.terms():
-            return True
-    return False
+    return covers(obj, criterion.attribute, set(criterion.values))
 
 
 def _eval_set(kb: KnowledgeBase, expr: QueryExpr) -> set[str]:
@@ -265,17 +262,7 @@ def _eval_set(kb: KnowledgeBase, expr: QueryExpr) -> set[str]:
             raise UnresolvedCriterionError(
                 "criterion has no attribute; rewrite it with rewrite_constrained first"
             )
-        candidates: set[str] | None = None
-        for term in criterion.values:
-            posting = {
-                oid
-                for attr, oid in kb.index_by_term.get(term, ())
-                if attr == criterion.attribute
-            }
-            candidates = posting if candidates is None else candidates & posting
-            if not candidates:
-                return set()
-        return {oid for oid in candidates if matches(kb.objects[oid], criterion)}
+        return kb.covering(criterion.attribute, criterion.values)
     if isinstance(expr, And):
         result = _eval_set(kb, expr.children[0])
         for child in expr.children[1:]:
@@ -367,8 +354,6 @@ def stored_list_rewrite(kb: KnowledgeBase, report: RewriteReport) -> str:
     first supporting object's covering pair, the way the evidence is
     stored in the base.
     """
-    from .factfile import format_values  # local import avoids a cycle
-
     def leaf_text(term: Term, candidate: AttributeCandidate) -> str:
         for oid in candidate.support:
             for pair in kb.objects[oid].pairs:

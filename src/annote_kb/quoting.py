@@ -1,12 +1,28 @@
 """Double-quoted string syntax shared by the fact file and the query language.
 
-Only two escapes exist: \\" for a quote and \\\\ for a backslash.
+Only two escapes exist: \\" for a quote and \\\\ for a backslash.  Value
+lists are written in the same syntax wherever they are displayed.
 """
+
+from __future__ import annotations
+
+from .model import Value
 
 
 def quote(text: str) -> str:
     """Wrap text in double quotes, escaping backslashes and quotes."""
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def format_value(value: Value) -> str:
+    """Render one value in file syntax: "term" or ("term", rank)."""
+    if value.rank is None:
+        return quote(value.term)
+    return f"({quote(value.term)}, {value.rank})"
+
+
+def format_values(values: tuple[Value, ...]) -> str:
+    return "[" + ", ".join(format_value(v) for v in values) + "]"
 
 
 def scan_quoted(text: str, start: int) -> tuple[str, int]:

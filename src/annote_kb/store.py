@@ -2,12 +2,13 @@
 
 The store keeps three indexes in lockstep with the object map:
 
+    postings             term -> {attribute -> {object id}}
     index_by_attribute   attribute -> {object id}
-    index_by_term        term -> {(attribute, object id)}
-    index_by_target      target id -> {object id}
+    index_by_target      target id -> [object id, in insertion order]
 
 Pairs without an attribute are not indexed; they carry nothing a query
-could address until the object is explicated.
+could address until the object is explicated.  covering() is the one
+lookup that query evaluation and attribute inference share.
 
 Every stored annotation is also registered as a tertiary document, so an
 annotation can itself be annotated.  Targets that name nothing yet are
@@ -19,6 +20,8 @@ snapshot when writes may happen concurrently.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .errors import (
     CyclicTargetError,
@@ -33,8 +36,10 @@ from .model import (
     DocumentRecord,
     DocumentTier,
     Explicitness,
+    Term,
     Value,
     classify,
+    covers,
     is_explicit_pair,
 )
 
@@ -46,9 +51,9 @@ class KnowledgeBase:
         self.objects: dict[str, AnnotationObject] = {}
         self.documents: dict[str, DocumentRecord] = {}
         self.annotators: dict[str, AnnotatorProfile] = {}
+        self.postings: dict[Term, dict[AttributeName, set[str]]] = {}
         self.index_by_attribute: dict[AttributeName, set[str]] = {}
-        self.index_by_term: dict[str, set[tuple[AttributeName, str]]] = {}
-        self.index_by_target: dict[str, set[str]] = {}
+        self.index_by_target: dict[str, list[str]] = {}
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -71,12 +76,13 @@ class KnowledgeBase:
 
         self.objects[obj.id] = obj
         for pair in obj.pairs:
-            if pair.attribute is None:
+            attribute = pair.attribute
+            if attribute is None:
                 continue
-            self.index_by_attribute.setdefault(pair.attribute, set()).add(obj.id)
+            self.index_by_attribute.setdefault(attribute, set()).add(obj.id)
             for value in pair.values:
-                self.index_by_term.setdefault(value.term, set()).add((pair.attribute, obj.id))
-        self.index_by_target.setdefault(obj.target, set()).add(obj.id)
+                self.postings.setdefault(value.term, {}).setdefault(attribute, set()).add(obj.id)
+        self.index_by_target.setdefault(obj.target, []).append(obj.id)
 
         # The annotation is itself a tertiary document; an unknown target
         # becomes a primary document until something says otherwise.
@@ -131,16 +137,34 @@ class KnowledgeBase:
         Lists appear in insertion order (objects first, then their pairs),
         verbatim including ranks.  Unknown targets yield an empty list.
         """
-        if target not in self.index_by_target:
-            return []
-        out: list[tuple[Value, ...]] = []
-        for obj in self.objects.values():
-            if obj.target != target:
-                continue
-            for pair in obj.pairs:
-                if is_explicit_pair(pair):
-                    out.append(pair.values)
-        return out
+        return [
+            pair.values
+            for oid in self.index_by_target.get(target, ())
+            for pair in self.objects[oid].pairs
+            if is_explicit_pair(pair)
+        ]
+
+    def covering(self, attribute: AttributeName, terms: Iterable[Term]) -> set[str]:
+        """Ids of objects with one pair under attribute covering all terms.
+
+        terms must be normalized; ranks are ignored (see model.covers).
+        Returns a fresh set the caller may change.  Raises ValueError when
+        terms is empty.
+        """
+        needed = set(terms)
+        if not needed:
+            raise ValueError("at least one term is required")
+        postings: list[set[str]] = []
+        for term in needed:
+            ids = self.postings.get(term, {}).get(attribute)
+            if ids is None:
+                return set()
+            postings.append(ids)
+        postings.sort(key=len)  # smallest first
+        ids = postings[0].intersection(*postings[1:])  # a copy, even for one posting
+        if len(needed) == 1:
+            return ids  # a single-term posting is already exact
+        return {oid for oid in ids if covers(self.objects[oid], attribute, needed)}
 
     def trace_chain(self, start: str) -> list[str]:
         """Follow targets from start down to the underlying document.
@@ -164,7 +188,10 @@ class KnowledgeBase:
         dup.objects = dict(self.objects)
         dup.documents = dict(self.documents)
         dup.annotators = dict(self.annotators)
+        dup.postings = {
+            term: {attr: set(ids) for attr, ids in by_attr.items()}
+            for term, by_attr in self.postings.items()
+        }
         dup.index_by_attribute = {k: set(v) for k, v in self.index_by_attribute.items()}
-        dup.index_by_term = {k: set(v) for k, v in self.index_by_term.items()}
-        dup.index_by_target = {k: set(v) for k, v in self.index_by_target.items()}
+        dup.index_by_target = {k: list(v) for k, v in self.index_by_target.items()}
         return dup

@@ -81,8 +81,11 @@ def kb_state(kb) -> tuple:
         (a.id, a.name, a.role) for a in (kb.annotators[k] for k in sorted(kb.annotators))
     )
     indexes = (
+        {
+            term: {attr: frozenset(ids) for attr, ids in by_attr.items()}
+            for term, by_attr in kb.postings.items()
+        },
         {k: frozenset(v) for k, v in kb.index_by_attribute.items()},
-        {k: frozenset(v) for k, v in kb.index_by_term.items()},
         {k: frozenset(v) for k, v in kb.index_by_target.items()},
     )
     return objects, documents, annotators, indexes

@@ -303,6 +303,19 @@ def test_ingest_partial(tmp_path, desk_text, capsys):
     assert target.exists()
 
 
+def test_ingest_leaves_kb_with_unreadable_lines_untouched(tmp_path, desk_text, capsys):
+    source = tmp_path / "input.facts"
+    source.write_text(IMPLICIT_LINE, encoding="utf-8")
+    target = tmp_path / "kb.facts"
+    before = (desk_text + "annotation(broken.\n").encode("utf-8")
+    target.write_bytes(before)
+    code, out, err = run(capsys, "ingest", "--kb", str(target), str(source))
+    assert code == 1
+    assert out == ""
+    assert "warning" in err and "not rewriting" in err
+    assert target.read_bytes() == before
+
+
 def test_ingest_missing_input(tmp_path, capsys):
     code, _, err = run(capsys, "ingest", "--kb", str(tmp_path / "kb"), "nope.facts")
     assert code == 1

@@ -271,6 +271,16 @@ def test_evaluate_no_hits(desk_kb):
     assert evaluate(desk_kb, parse_query('("auteur", ["personne"])')) == []
 
 
+def test_evaluate_needs_one_pair_covering_all_terms():
+    kb = KnowledgeBase()
+    pairs = (make_pair("k", ["a"]), make_pair("k", ["b"]))
+    kb.insert(AnnotationObject("n", "d", pairs, IMPORT_META))
+    # terms split across two pairs under the same attribute do not count
+    assert evaluate(kb, leaf("k", "a", "b")) == []
+    assert evaluate(kb, leaf("k", "a")) == ["n"]
+    assert evaluate(kb, leaf("k", "a", "a")) == ["n"]
+
+
 def test_evaluate_unresolved_criterion_raises(desk_kb):
     with pytest.raises(UnresolvedCriterionError):
         evaluate(desk_kb, parse_query('(["pertinent"])'))

@@ -31,10 +31,10 @@ def test_insert_updates_all_indexes():
     kb = KnowledgeBase()
     kb.insert(obj("note_91007", "doc_A", [("souligner", ["stratégie", "développement"])]))
     assert len(kb) == 1
-    assert kb.index_by_term["stratégie"] == {("souligner", "note_91007")}
-    assert kb.index_by_term["développement"] == {("souligner", "note_91007")}
+    assert kb.postings["stratégie"] == {"souligner": {"note_91007"}}
+    assert kb.postings["développement"] == {"souligner": {"note_91007"}}
     assert kb.index_by_attribute["souligner"] == {"note_91007"}
-    assert kb.index_by_target["doc_A"] == {"note_91007"}
+    assert kb.index_by_target["doc_A"] == ["note_91007"]
 
 
 def test_insert_registers_documents():
@@ -165,16 +165,31 @@ def test_copy_is_independent():
     kb = KnowledgeBase()
     kb.insert(obj("n1", "d", [("a", ["x"])]))
     snapshot = kb.copy()
-    kb.insert(obj("n2", "d", [("a", ["y"])]))
+    kb.insert(obj("n2", "d", [("a", ["x", "y"])]))
     assert len(snapshot) == 1
-    assert "y" not in snapshot.index_by_term
-    assert snapshot.index_by_term["x"] == {("a", "n1")}
+    assert "y" not in snapshot.postings
+    assert snapshot.postings["x"] == {"a": {"n1"}}
+    assert snapshot.index_by_attribute["a"] == {"n1"}
+    assert snapshot.index_by_target["d"] == ["n1"]
+
+
+def test_covering_returns_a_fresh_set():
+    kb = KnowledgeBase()
+    kb.insert(obj("n1", "d", [("a", ["x", "y"])]))
+    found = kb.covering("a", ["x"])
+    found.add("intruder")
+    assert kb.postings["x"]["a"] == {"n1"}
+    assert kb.covering("a", ["y", "x"]) == {"n1"}
+    assert kb.covering("a", ["x", "missing"]) == set()
+    assert kb.covering("b", ["x"]) == set()
+    with pytest.raises(ValueError):
+        kb.covering("a", [])
 
 
 def test_indexes_match_brute_force_rebuild():
     kb = random_kb(seed=11, n_objects=300)
+    postings: dict = {}
     by_attr: dict = {}
-    by_term: dict = {}
     by_target: dict = {}
     for oid, o in kb.objects.items():
         for pair in o.pairs:
@@ -182,16 +197,19 @@ def test_indexes_match_brute_force_rebuild():
                 continue
             by_attr.setdefault(pair.attribute, set()).add(oid)
             for value in pair.values:
-                by_term.setdefault(value.term, set()).add((pair.attribute, oid))
-        by_target.setdefault(o.target, set()).add(oid)
+                postings.setdefault(value.term, {}).setdefault(pair.attribute, set()).add(oid)
+        by_target.setdefault(o.target, []).append(oid)
+    assert kb.postings == postings
     assert kb.index_by_attribute == by_attr
-    assert kb.index_by_term == by_term
-    assert kb.index_by_target == by_target
+    assert kb.index_by_target == by_target  # lists: insertion order pinned too
     # every indexed id refers to a stored object
     for ids in kb.index_by_attribute.values():
         assert ids <= kb.objects.keys()
-    for entries in kb.index_by_term.values():
-        assert {oid for _, oid in entries} <= kb.objects.keys()
+    for by_attribute in kb.postings.values():
+        for ids in by_attribute.values():
+            assert ids <= kb.objects.keys()
+    for ids in kb.index_by_target.values():
+        assert set(ids) <= kb.objects.keys()
 
 
 def test_attributes_of_matches_naive_scan():
