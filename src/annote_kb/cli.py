@@ -11,14 +11,17 @@
 
 Exit codes: 0 success, 1 I/O or syntax error, 2 partial ingest,
 3 unresolved terms in a strict find, 4 explicitation found no candidates.
-The kb file is re-read on every invocation; only ingest writes it back.
+The kb file is re-read on every invocation; only ingest writes it back,
+through a temporary file that is flushed to disk and renamed over it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import sys
 
 from .errors import (
@@ -78,6 +81,29 @@ def _read_file(path: str) -> str:
         return handle.read()
 
 
+def _replace_file(path: str, text: str) -> None:
+    """Put text in place of the file at path, or leave that file as it was.
+
+    The text goes to a temporary file beside the real target (so the
+    rename stays on one file system), is flushed to disk, takes the old
+    file's permissions, and only then is renamed over it.
+    """
+    path = os.path.realpath(path)  # a symlinked kb stays a symlink
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        if os.path.exists(path):
+            shutil.copymode(path, temp)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
+
+
 def _pair_text(pair) -> str:
     attr = "_" if pair.attribute is None else pair.attribute
     return f"({attr}, {format_values(pair.values)})"
@@ -104,8 +130,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         kb = current.kb
     result = load_facts_into(kb, text)
     try:
-        with open(args.kb, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(save_facts(kb))
+        _replace_file(args.kb, save_facts(kb))
     except OSError as exc:
         raise _CliError(f"cannot write kb: {exc}")
     rejected = len(result.diagnostics)

@@ -16,20 +16,31 @@ must be inferred (rewrite_constrained) before evaluation.
 A criterion matches an object when one of the object's pairs has the same
 attribute and its value terms (ranks ignored) form a superset of the
 criterion's terms.  NOT complements within the set of stored objects.
+It is evaluated as an exclusion against its sibling operands (ET NON a
+subtracts a's hits), so no set of every stored id is ever built; only a
+query whose result is itself a complement walks the stored ids, once.
 format_query prints the canonical form, which parses back to the same
-tree: parse_query(format_query(e)) == e.
+tree: parse_query(format_query(e)) == e, as long as that text stays
+within MAX_NESTING levels (it adds parentheses around ET under OU).
+
+Query text may nest NON and parentheses at most MAX_NESTING levels deep;
+deeper text is a QuerySyntaxError.  Trees built through the API may nest
+ET/OU up to 2 * (MAX_NESTING + 1) levels, more than any parsed query
+reaches; past that, evaluate and format_query raise QueryTooDeepError.
+Chains of NON are folded in a loop and may be any length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .errors import (
     AllUnresolvedError,
     EmptyAttributeError,
     EmptyTermError,
     QuerySyntaxError,
+    QueryTooDeepError,
     UnresolvedCriterionError,
 )
 from .inference import AttributeCandidate, infer_attributes
@@ -87,6 +98,11 @@ class Not:
 
 QueryExpr = Union[Leaf, And, Or, Not]
 
+MAX_NESTING = 100  # NON and parenthesis levels allowed in query text
+# A parsed tree nests at most one OU and one ET per parenthesis level, plus
+# the pair at the top, so no parsed query reaches this many ET/OU levels.
+_MAX_TREE_DEPTH = 2 * (MAX_NESTING + 1)
+
 
 _KEYWORDS = {"et": "AND", "and": "AND", "ou": "OR", "or": "OR", "non": "NOT", "not": "NOT"}
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET", ",": "COMMA"}
@@ -136,6 +152,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0  # NON and grouping parentheses currently open
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.index + ahead, len(self.tokens) - 1)]
@@ -165,7 +182,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "NOT":
             self.index += 1
-            return Not(self.parse_unary())
+            return Not(self.nested(token, self.parse_unary))
         if token.kind != "LPAREN":
             raise QuerySyntaxError(token.pos, "'(' or NON")
         self.index += 1
@@ -174,8 +191,17 @@ class _Parser:
         if self.peek().kind in ("STRING", "LBRACKET"):
             expr = Leaf(self.parse_criterion_tail())
         else:
-            expr = self.parse_expr()
+            expr = self.nested(token, self.parse_expr)
         self.take("RPAREN", "')'")
+        return expr
+
+    def nested(self, opener: _Token, parse: Callable[[], QueryExpr]) -> QueryExpr:
+        """Run parse one NON or parenthesis level deeper, within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise QuerySyntaxError(opener.pos, f"at most {MAX_NESTING} nested NON or parentheses")
+        self.depth += 1
+        expr = parse()
+        self.depth -= 1
         return expr
 
     def parse_criterion_tail(self) -> Criterion:
@@ -222,23 +248,47 @@ def _criterion_text(criterion: Criterion) -> str:
     return f"({quote(criterion.attribute)}, {inner})"
 
 
-def _wrapped(expr: QueryExpr) -> str:
-    # NON binds tighter than ET/OU, so only ET/OU operands need parens.
-    text = format_query(expr)
-    return text if isinstance(expr, (Leaf, Not)) else f"({text})"
+def _strip_nots(expr: QueryExpr) -> tuple[QueryExpr, int]:
+    """The first node below a chain of NON, and the length of the chain."""
+    nots = 0
+    while isinstance(expr, Not):
+        nots += 1
+        expr = expr.child
+    return expr, nots
+
+
+def _operands(expr: QueryExpr, depth: int) -> tuple[QueryExpr, ...]:
+    """Children of an ET/OU node with depth ET/OU nodes above it."""
+    if not isinstance(expr, (And, Or)):
+        raise TypeError(f"not a query expression: {expr!r}")
+    if depth == _MAX_TREE_DEPTH:
+        raise QueryTooDeepError(_MAX_TREE_DEPTH)
+    return expr.children
+
+
+def _format(expr: QueryExpr, depth: int) -> str:
+    expr, nots = _strip_nots(expr)
+    if isinstance(expr, Leaf):
+        return "NON " * nots + _criterion_text(expr.criterion)
+    parts = []
+    for child in _operands(expr, depth):
+        text = _format(child, depth + 1)
+        # NON binds tighter than ET/OU, so only ET/OU operands need parens.
+        parts.append(text if isinstance(child, (Leaf, Not)) else f"({text})")
+    text = (" ET " if isinstance(expr, And) else " OU ").join(parts)
+    if nots:
+        text = f"({text})"
+    return "NON " * nots + text
 
 
 def format_query(expr: QueryExpr) -> str:
-    """Canonical text for a query tree; parse_query inverts it exactly."""
-    if isinstance(expr, Leaf):
-        return _criterion_text(expr.criterion)
-    if isinstance(expr, And):
-        return " ET ".join(_wrapped(c) for c in expr.children)
-    if isinstance(expr, Or):
-        return " OU ".join(_wrapped(c) for c in expr.children)
-    if isinstance(expr, Not):
-        return "NON " + _wrapped(expr.child)
-    raise TypeError(f"not a query expression: {expr!r}")
+    """Canonical text for a query tree.
+
+    parse_query inverts it exactly while the text nests at most
+    MAX_NESTING levels.  Raises QueryTooDeepError for a tree nested
+    deeper than any parsed query.
+    """
+    return _format(expr, 0)
 
 
 def matches(obj: AnnotationObject, criterion: Criterion) -> bool:
@@ -255,36 +305,67 @@ def matches(obj: AnnotationObject, criterion: Criterion) -> bool:
     return covers(obj, criterion.attribute, set(criterion.values))
 
 
-def _eval_set(kb: KnowledgeBase, expr: QueryExpr) -> set[str]:
+def _leaf_ids(kb: KnowledgeBase, leaf: Leaf) -> set[str]:
+    """Fresh set of the ids a resolved criterion matches."""
+    criterion = leaf.criterion
+    if criterion.attribute is None:
+        raise UnresolvedCriterionError(
+            "criterion has no attribute; rewrite it with rewrite_constrained first"
+        )
+    return kb.covering(criterion.attribute, criterion.values)
+
+
+def _eval(kb: KnowledgeBase, expr: QueryExpr, depth: int) -> tuple[set[str], bool]:
+    """(ids, complemented): the ids, or every stored object except them.
+
+    Every returned set is fresh and belongs to the caller (covering()
+    copies the postings), so the set algebra below works in place.
+    """
+    expr, nots = _strip_nots(expr)
+    complemented = nots % 2 == 1
     if isinstance(expr, Leaf):
-        criterion = expr.criterion
-        if criterion.attribute is None:
-            raise UnresolvedCriterionError(
-                "criterion has no attribute; rewrite it with rewrite_constrained first"
-            )
-        return kb.covering(criterion.attribute, criterion.values)
-    if isinstance(expr, And):
-        result = _eval_set(kb, expr.children[0])
-        for child in expr.children[1:]:
-            result &= _eval_set(kb, child)
-        return result
-    if isinstance(expr, Or):
-        result = _eval_set(kb, expr.children[0])
-        for child in expr.children[1:]:
-            result |= _eval_set(kb, child)
-        return result
-    if isinstance(expr, Not):
-        return set(kb.objects) - _eval_set(kb, expr.child)
-    raise TypeError(f"not a query expression: {expr!r}")
+        return _leaf_ids(kb, expr), complemented
+    # ET keeps the intersection of its plain operands minus the union of its
+    # complemented ones.  OU is the De Morgan dual, a OU b == NON (NON a ET
+    # NON b): plain and complemented operands swap roles, and so does the
+    # result.  Operands are folded in as they come, so each child's set is
+    # freed once merged, and every operand is evaluated, so a constrained
+    # leaf anywhere raises.
+    is_or = isinstance(expr, Or)
+    kept: set[str] | None = None
+    dropped: set[str] | None = None
+    for child in _operands(expr, depth):
+        if isinstance(child, Leaf):  # the common case, without a recursive call
+            ids, child_complemented = _leaf_ids(kb, child), False
+        else:
+            ids, child_complemented = _eval(kb, child, depth + 1)
+        if child_complemented == is_or:
+            if kept is None:
+                kept = ids
+            else:
+                kept &= ids  # walks the smaller side
+        elif dropped is None:
+            dropped = ids
+        else:
+            dropped |= ids
+    if kept is None:  # NON a ET NON b == NON (a OU b)
+        return dropped, complemented == is_or
+    if dropped:
+        kept = kept - dropped  # walks the smaller side; -= would walk dropped
+    return kept, complemented != is_or
 
 
 def evaluate(kb: KnowledgeBase, expr: QueryExpr) -> list[str]:
     """Ids of objects satisfying expr, sorted ascending.
 
     NOT is the complement within the stored objects (closed world).
-    Raises UnresolvedCriterionError if a constrained criterion remains.
+    Raises UnresolvedCriterionError if a constrained criterion remains,
+    and QueryTooDeepError for a tree nested deeper than any parsed query.
     """
-    return sorted(_eval_set(kb, expr))
+    ids, complemented = _eval(kb, expr, 0)
+    if complemented:
+        return [oid for oid in sorted(kb.objects) if oid not in ids]
+    return sorted(ids)
 
 
 @dataclass(frozen=True, slots=True)

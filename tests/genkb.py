@@ -29,15 +29,19 @@ def random_kb(
     n_objects: int = 1000,
     attributes: list[str] = ATTRIBUTES,
     terms: list[str] = TERMS,
+    shuffled: bool = False,
 ) -> KnowledgeBase:
     """A knowledge base of n_objects random annotations.
 
     Roughly one object in ten has an implicit pair (missing attribute or
     missing values) and one in ten annotates an earlier annotation, so
-    chains, weighted values and deficient pairs all occur.
+    chains, weighted values and deficient pairs all occur.  Objects are
+    inserted in id order unless shuffled, which inserts the same objects
+    in a random order so that no code may rely on the two agreeing.
     """
     rng = random.Random(seed)
     kb = KnowledgeBase()
+    objects: list[AnnotationObject] = []
     ids: list[str] = []
     for i in range(n_objects):
         oid = f"obj{i:05d}"
@@ -54,8 +58,12 @@ def random_kb(
                 pairs.append(AVPair(rng.choice(attributes), ()))
             else:
                 pairs.append(AVPair(rng.choice(attributes), _random_values(rng, terms)))
-        kb.insert(AnnotationObject(oid, target, tuple(pairs), IMPORT_META))
+        objects.append(AnnotationObject(oid, target, tuple(pairs), IMPORT_META))
         ids.append(oid)
+    if shuffled:
+        rng.shuffle(objects)
+    for obj in objects:
+        kb.insert(obj)
     return kb
 
 

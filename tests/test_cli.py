@@ -1,6 +1,7 @@
 """Command line behaviour: outputs, exit codes, text/json parity."""
 
 import json
+import os
 
 import pytest
 
@@ -163,6 +164,16 @@ def test_query_rejects_constrained_criterion(kb_path, capsys):
     assert "rewrite" in err
 
 
+def test_query_nested_too_deep_is_a_syntax_error(kb_path, capsys):
+    text = "NON " * 1200 + '("k", ["a"])'
+    code, out, err = run(capsys, "query", "--kb", kb_path, text)
+    assert code == 1
+    assert out == ""
+    assert "syntax error: expected at most 100 nested NON or parentheses" in err
+    assert "\n  " + " " * 400 + "^" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- find
 
 
@@ -314,6 +325,46 @@ def test_ingest_leaves_kb_with_unreadable_lines_untouched(tmp_path, desk_text, c
     assert out == ""
     assert "warning" in err and "not rewriting" in err
     assert target.read_bytes() == before
+
+
+def _fail(*args, **kwargs):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("step", ["save", "fsync"])
+def test_ingest_failed_write_leaves_kb_untouched(tmp_path, desk_text, capsys, monkeypatch, step):
+    source = tmp_path / "input.facts"
+    source.write_text(IMPLICIT_LINE, encoding="utf-8")
+    target = tmp_path / "kb.facts"
+    before = desk_text.encode("utf-8")
+    target.write_bytes(before)
+    if step == "save":
+        monkeypatch.setattr("annote_kb.cli.save_facts", _fail)
+    else:
+        monkeypatch.setattr(os, "fsync", _fail)
+    code, out, err = run(capsys, "ingest", "--kb", str(target), str(source))
+    assert code == 1
+    assert out == ""
+    assert "cannot write kb: disk full" in err
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.facts", "kb.facts"]
+
+
+def test_ingest_keeps_kb_mode_and_symlink(tmp_path, desk_text, capsys):
+    source = tmp_path / "input.facts"
+    source.write_text(IMPLICIT_LINE, encoding="utf-8")
+    real = tmp_path / "real.facts"
+    real.write_text(desk_text, encoding="utf-8")
+    real.chmod(0o640)
+    link = tmp_path / "kb.facts"
+    link.symlink_to(real)
+    code, out, _ = run(capsys, "ingest", "--kb", str(link), str(source))
+    assert code == 0
+    assert out.splitlines()[0] == "1 objects loaded, 0 rejected"
+    assert link.is_symlink()
+    assert "n_imp" in real.read_text(encoding="utf-8")
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.facts", "kb.facts", "real.facts"]
 
 
 def test_ingest_missing_input(tmp_path, capsys):

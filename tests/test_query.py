@@ -17,6 +17,7 @@ from annote_kb import (
     Not,
     Or,
     QuerySyntaxError,
+    QueryTooDeepError,
     UnresolvedCriterionError,
     Value,
     evaluate,
@@ -28,8 +29,9 @@ from annote_kb import (
     search_constrained,
     stored_list_rewrite,
 )
-from genkb import random_expr, random_kb
-from oracles import naive_eval
+from annote_kb.query import MAX_NESTING
+from genkb import ATTRIBUTES, TERMS, random_expr, random_kb
+from oracles import kb_state, naive_eval
 
 CLASSIC = (
     '("auteur", ["Alain Juillet"]) ET ("mots-clés", ["désinformation"])'
@@ -38,6 +40,15 @@ CLASSIC = (
 
 def leaf(attribute, *terms) -> Leaf:
     return Leaf(Criterion(attribute, terms))
+
+
+LEAF_TEXT = '("k", ["a"])'
+
+
+def _not_chain(length: int, expr=leaf("k", "a")):
+    for _ in range(length):
+        expr = Not(expr)
+    return expr
 
 
 # ---------------------------------------------------------------- parsing
@@ -139,6 +150,28 @@ def test_bad_escape_reported_at_backslash():
     with pytest.raises(QuerySyntaxError) as err:
         parse_query('("a", ["\\n"])')
     assert err.value.position == 8
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("NON " * 1000 + LEAF_TEXT, 4 * MAX_NESTING),
+        ("(" * 1000 + LEAF_TEXT + ")" * 1000, MAX_NESTING),
+        ("NON (" * 600 + LEAF_TEXT + ")" * 600, 5 * (MAX_NESTING // 2)),
+    ],
+    ids=["NON", "parentheses", "mixed"],
+)
+def test_nesting_past_the_cap_is_a_syntax_error(text, position):
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query(text)
+    assert err.value.position == position
+    assert f"at most {MAX_NESTING} nested" in err.value.expected
+
+
+def test_nesting_up_to_the_cap_parses():
+    assert parse_query("NON " * MAX_NESTING + LEAF_TEXT) == _not_chain(MAX_NESTING)
+    text = "(" * MAX_NESTING + LEAF_TEXT + ")" * MAX_NESTING
+    assert parse_query(text) == leaf("k", "a")
 
 
 def test_criterion_requires_terms():
@@ -247,6 +280,14 @@ def test_matches_rejects_constrained_criterion():
 # ---------------------------------------------------------------- evaluation
 
 
+def _deepest_parsable_text() -> str:
+    """MAX_NESTING parenthesis levels, each holding an OU over an ET."""
+    text = '("k", ["a"]) OU ("k", ["b"]) ET ("k", ["c"])'
+    for _ in range(MAX_NESTING):
+        text = f'("k", ["a"]) OU ("k", ["b"]) ET ({text})'
+    return text
+
+
 def test_evaluate_classic_search(desk_kb):
     assert evaluate(desk_kb, parse_query(CLASSIC)) == [
         "note_008",
@@ -282,17 +323,89 @@ def test_evaluate_needs_one_pair_covering_all_terms():
 
 
 def test_evaluate_unresolved_criterion_raises(desk_kb):
-    with pytest.raises(UnresolvedCriterionError):
-        evaluate(desk_kb, parse_query('(["pertinent"])'))
+    # Anywhere in the tree: under NON, and after an operand with no hits.
+    for text in [
+        '(["pertinent"])',
+        'NON (["pertinent"])',
+        'NON NON (["pertinent"])',
+        '("auteur", ["personne"]) ET (["pertinent"])',
+        '("auteur", ["personne"]) ET NON (["pertinent"])',
+        'NON ("auteur", ["alain juillet"]) ET NON (["pertinent"])',
+        '("auteur", ["alain juillet"]) OU (["pertinent"])',
+        'NON ("auteur", ["personne"]) OU NON (["pertinent"])',
+    ]:
+        with pytest.raises(UnresolvedCriterionError):
+            evaluate(desk_kb, parse_query(text))
+
+
+# A small vocabulary, so that most criteria have hits and NON excludes some.
+DENSE = {"attributes": ATTRIBUTES[:4], "terms": TERMS[:8]}
+A, B, C = leaf("attr-00", "terme000"), leaf("attr-01", "terme001"), leaf("attr-02", "terme002")
+COMPLEMENT_SHAPES = [
+    Not(A),
+    Not(Not(A)),
+    Not(Not(Not(A))),
+    And((Not(A), Not(B))),
+    And((Not(A), Not(B), Not(C))),
+    And((A, Not(B))),
+    And((Not(A), B, Not(C))),
+    Or((A, Not(B))),
+    Or((Not(A), Not(B))),
+    Or((Not(A), B, Not(C))),
+    Not(And((A, Not(B)))),
+    Not(Or((Not(A), Not(B)))),
+    Or((And((Not(A), Not(B))), C)),
+    And((Or((A, Not(B))), Not(Or((B, C))))),
+]
 
 
 def test_evaluate_agrees_with_naive_scan():
     rng = random.Random(7)
-    for seed in range(3):
-        kb = random_kb(seed, n_objects=200)
-        for _ in range(40):
-            expr = random_expr(rng, depth=4)
+    cases = [(random_kb(seed, n_objects=200), {}, []) for seed in range(3)]
+    # Dense hits, objects inserted out of id order, every complement shape.
+    cases.append((random_kb(3, n_objects=200, shuffled=True, **DENSE), DENSE, COMPLEMENT_SHAPES))
+    for kb, vocabulary, shapes in cases:
+        before = kb_state(kb)
+        exprs = shapes + [random_expr(rng, depth=4, **vocabulary) for _ in range(40)]
+        for expr in exprs:
             assert evaluate(kb, expr) == sorted(naive_eval(kb, expr))
+        assert kb_state(kb) == before  # in-place set algebra never reaches a posting
+    kb = cases[-1][0]
+    assert list(kb.objects) != sorted(kb.objects)
+    assert all(0 < len(evaluate(kb, x)) < len(kb) for x in (A, B, C))
+
+
+def test_evaluate_folds_long_not_chains(desk_kb):
+    author = leaf("auteur", "alain juillet")
+    hits = evaluate(desk_kb, author)
+    assert 0 < len(hits) < len(desk_kb)
+    assert evaluate(desk_kb, _not_chain(5000, author)) == hits
+    rest = [oid for oid in sorted(desk_kb.objects) if oid not in hits]
+    assert evaluate(desk_kb, _not_chain(5001, author)) == rest
+    assert format_query(_not_chain(5000)) == "NON " * 5000 + LEAF_TEXT
+
+
+def test_deepest_parsable_query_evaluates_and_prints():
+    kb = random_kb(2, n_objects=100, attributes=["k"], terms=["a", "b", "c", "d"])
+    expr = parse_query(_deepest_parsable_text())
+    assert evaluate(kb, expr) == sorted(naive_eval(kb, expr))
+    assert format_query(expr).startswith('("k", ["a"]) OU (("k", ["b"]) ET (')
+
+
+def test_trees_nested_past_any_parsed_query_raise_a_typed_error(desk_kb):
+    deepest = parse_query(_deepest_parsable_text())
+    for expr in (And((leaf("k", "a"), deepest)), Not(Or((deepest, Not(deepest))))):
+        with pytest.raises(QueryTooDeepError):
+            evaluate(desk_kb, expr)
+        with pytest.raises(QueryTooDeepError):
+            format_query(expr)
+    expr = leaf("k", "a")
+    for _ in range(5000):
+        expr = Or((leaf("k", "b"), And((expr, leaf("k", "c")))))
+    with pytest.raises(QueryTooDeepError):
+        evaluate(desk_kb, expr)
+    with pytest.raises(QueryTooDeepError):
+        format_query(expr)
 
 
 def test_evaluate_boolean_laws():
