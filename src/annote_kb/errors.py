@@ -13,6 +13,14 @@ class EmptyAttributeError(AnnoteKBError):
     """An attribute name normalized to the empty string."""
 
 
+class LineBreakError(AnnoteKBError):
+    """A term or annotator name contains a line break.
+
+    A fact file holds one clause per line, so such text could not be saved
+    and read back.
+    """
+
+
 class InvalidPairError(AnnoteKBError):
     """An attribute/value pair is missing both its attribute and its values."""
 

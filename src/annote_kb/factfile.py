@@ -16,6 +16,12 @@ normalized spellings, documents then annotators then annotation lines with
 objects sorted by id and pairs in insertion order.  Saving a loaded file is
 a fixpoint: save(load(save(kb))) == save(kb).
 
+Each statement line is split into tokens by one regex: a well-formed
+quoted string, a word (an id, a keyword or a rank), a negative rank, or
+any other single non-space character, so a string left open or badly
+escaped is a lone '"' token.  A recursive descent then reads the tokens
+by index.  Columns are worked out only for rejected lines.
+
 The format carries no annotation provenance; loaded objects all share
 IMPORT_META.
 """
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .errors import AnnoteKBError, EmptyAttributeError, EmptyTermError
 from .model import (
@@ -40,7 +47,7 @@ from .model import (
     normalize_attribute,
     normalize_term,
 )
-from .quoting import format_values, quote, scan_quoted
+from .quoting import QUOTED, format_values, quote, quote_error, unquote
 from .store import KnowledgeBase
 
 HEADER = "% annote-kb fact base"
@@ -54,8 +61,10 @@ IMPORT_META = AnnotationMeta(
     context_detail="fact file import",
 )
 
-_IDENT = re.compile(r"[A-Za-z0-9_]+")
-_INTEGER = re.compile(r"-?[0-9]+")
+# No capture group, so findall returns the tokens themselves.
+_TOKEN = re.compile(QUOTED.pattern + r"|[A-Za-z0-9_]+|-[0-9]+|\S")
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+E = TypeVar("E", DocumentTier, AnnotatorRole)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,152 +87,87 @@ class LoadResult:
 
 
 class _LineError(Exception):
-    def __init__(self, column: int, reason: str):
-        super().__init__(reason)
-        self.column = column
-        self.reason = reason
+    """A rejected line; its args are those of _locate after the line."""
 
 
-class _Cursor:
-    """Tokenizing cursor over one statement line."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, reason: str, at: int | None = None) -> _LineError:
-        return _LineError((self.pos if at is None else at) + 1, reason)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.peek() != ch:
-            raise self.error(f"expected '{ch}'")
-        self.pos += 1
-
-    def ident(self, what: str) -> str:
-        self.skip_ws()
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
-            raise self.error(f"expected {what}")
-        self.pos = m.end()
-        return m.group()
-
-    def quoted(self) -> str:
-        self.skip_ws()
-        try:
-            value, end = scan_quoted(self.text, self.pos)
-        except ValueError as exc:
-            offset, reason = exc.args
-            raise _LineError(offset + 1, f"expected {reason}")
-        self.pos = end
-        return value
-
-    def integer(self) -> int:
-        self.skip_ws()
-        m = _INTEGER.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected integer rank")
-        self.pos = m.end()
-        return int(m.group())
-
-    def end_statement(self) -> None:
-        self.expect(".")
-        self.skip_ws()
-        if self.pos < len(self.text):
-            raise self.error("unexpected text after '.'")
+def _locate(line: str, index: int, reason: str | None = None, shift: int = 0) -> tuple[int, str]:
+    """Column and reason of a line rejected shift characters into token
+    index (the end of the line past the last one).  A reason of None
+    means a quoted string was expected there."""
+    starts = [m.start() for m in _TOKEN.finditer(line)]
+    at = starts[index] if index < len(starts) else len(line)
+    if reason is None:
+        offset, expected = quote_error(line, at)
+        return offset + 1, f"expected {expected}"
+    return at + shift + 1, reason
 
 
-@dataclass(slots=True)
-class _FactLine:
-    object_id: str
-    pair: AVPair
-    target: str
+# The parsers below read a token list that ends with an empty sentinel.
+# Each token is checked before the next is read, so none is read past it.
 
 
-def _parse_fact(cur: _Cursor) -> _FactLine:
-    cur.expect("(")
-    object_id = cur.ident("object id")
-    cur.expect(",")
-    cur.skip_ws()
-    if cur.peek() == "_":
-        cur.pos += 1
-        attribute = None
-    else:
-        at = cur.pos
-        raw = cur.quoted()
-        try:
-            attribute = normalize_attribute(raw)
-        except EmptyAttributeError:
-            raise _LineError(at + 1, "attribute must not be blank")
-    cur.expect(",")
-    cur.expect("[")
-    values: list[Value] = []
-    cur.skip_ws()
-    if cur.peek() != "]":
-        while True:
-            cur.skip_ws()
-            at = cur.pos
-            if cur.peek() == "(":
-                cur.pos += 1
-                term_raw = cur.quoted()
-                cur.expect(",")
-                rank = cur.integer()
-                cur.expect(")")
-            else:
-                term_raw = cur.quoted()
-                rank = None
-            try:
-                values.append(Value(normalize_term(term_raw), rank))
-            except EmptyTermError:
-                raise _LineError(at + 1, "value term must not be blank")
-            cur.skip_ws()
-            if cur.peek() != ",":
-                break
-            cur.pos += 1
-    cur.expect("]")
-    cur.expect(",")
-    target = cur.ident("target id")
-    cur.expect(")")
-    cur.end_statement()
-    if attribute is None and not values:
-        raise _LineError(1, "invalid object: pair has neither attribute nor values")
-    return _FactLine(object_id, AVPair(attribute, tuple(values)), target)
+def _expect(toks: list[str], i: int, punct: str) -> None:
+    if toks[i] != punct:
+        raise _LineError(i, f"expected '{punct}'")
 
 
-def _parse_document(cur: _Cursor) -> tuple[str, DocumentTier]:
-    cur.expect("(")
-    doc_id = cur.ident("document id")
-    cur.expect(",")
-    word = cur.ident("document tier")
+def _ident(toks: list[str], i: int, what: str) -> str:
+    if toks[i][:1] not in _WORD_START:
+        raise _LineError(i, f"expected {what}")
+    return toks[i]
+
+
+def _quoted(toks: list[str], i: int) -> str:  # the raw token, quotes included
+    tok = toks[i]
+    if tok[:1] != '"' or len(tok) == 1:
+        raise _LineError(i)
+    return tok
+
+
+def _rank(toks: list[str], i: int) -> str:
+    tok = toks[i]
+    digits = tok[1:] if tok[:1] == "-" else tok
+    rest = digits.lstrip("0123456789")
+    if len(rest) == len(digits):
+        raise _LineError(i, "expected integer rank")
+    if rest:  # a word such as 12x: the rank ends where the letters start
+        raise _LineError(i, "expected ')'", len(tok) - len(rest))
+    return tok
+
+
+def _end(toks: list[str], i: int) -> None:
+    _expect(toks, i, ".")
+    if i + 2 != len(toks):  # anything but the sentinel
+        raise _LineError(i + 1, "unexpected text after '.'")
+
+
+def _keyword(toks: list[str], i: int, what: str, kind: type[E]) -> E:
+    word = _ident(toks, i, what)
     try:
-        tier = DocumentTier(word.lower())
+        return kind(word.lower())
     except ValueError:
-        raise cur.error(f"unknown document tier: {word}")
-    cur.expect(")")
-    cur.end_statement()
+        raise _LineError(i, f"unknown {what}: {word}", len(word))
+
+
+def _document(toks: list[str]) -> tuple[str, DocumentTier]:
+    _expect(toks, 1, "(")
+    doc_id = _ident(toks, 2, "document id")
+    _expect(toks, 3, ",")
+    tier = _keyword(toks, 4, "document tier", DocumentTier)
+    _expect(toks, 5, ")")
+    _end(toks, 6)
     return doc_id, tier
 
 
-def _parse_annotator(cur: _Cursor) -> AnnotatorProfile:
-    cur.expect("(")
-    annotator_id = cur.ident("annotator id")
-    cur.expect(",")
-    name = cur.quoted()
-    cur.expect(",")
-    word = cur.ident("annotator role")
-    try:
-        role = AnnotatorRole(word.lower())
-    except ValueError:
-        raise cur.error(f"unknown annotator role: {word}")
-    cur.expect(")")
-    cur.end_statement()
+def _annotator(toks: list[str]) -> AnnotatorProfile:
+    _expect(toks, 1, "(")
+    annotator_id = _ident(toks, 2, "annotator id")
+    _expect(toks, 3, ",")
+    name = unquote(_quoted(toks, 4))
+    _expect(toks, 5, ",")
+    role = _keyword(toks, 6, "annotator role", AnnotatorRole)
+    _expect(toks, 7, ")")
+    _end(toks, 8)
     return AnnotatorProfile(annotator_id, name, role)
 
 
@@ -234,66 +178,123 @@ class _Loader:
         self.kb = kb
         self.diagnostics: list[Diagnostic] = []
         self.loaded = 0
+        # Normalized so far in this load, by raw token (and raw rank token).
+        self.attributes: dict[str, str] = {}
+        self.values: dict[tuple[str, str | None], Value] = {}
         # Pending group of consecutive annotation lines sharing an id.
         self.group_id: str | None = None
         self.group_target: str | None = None
         self.group_pairs: list[AVPair] = []
         self.group_line = 0
-        # Tier declarations are re-checked once all objects are known:
-        # tertiary needs an annotation id, other tiers must not name one.
-        self.pending_tertiary: list[tuple[int, str]] = []
-        self.pending_nontertiary: list[tuple[int, str]] = []
+        # Document lines are declared again once all objects are known, as
+        # an annotation further down may take a declared id.
+        self.documents: list[tuple[int, str, DocumentTier]] = []
 
     def reject(self, lineno: int, column: int, reason: str) -> None:
         self.diagnostics.append(Diagnostic(lineno, column, reason))
 
+    def attribute(self, toks: list[str], i: int) -> str | None:
+        tok = toks[i]
+        if tok == "_":
+            return None
+        if tok[:1] == "_":  # _x: the attribute is the '_', and a ',' is missing
+            raise _LineError(i, "expected ','", 1)
+        name = self.attributes.get(tok)
+        if name is None:
+            try:
+                name = normalize_attribute(unquote(_quoted(toks, i)))
+            except EmptyAttributeError:
+                raise _LineError(i, "attribute must not be blank")
+            self.attributes[tok] = name
+        return name
+
+    def value(self, toks: list[str], i: int) -> tuple[Value, int]:
+        """The value starting at token i, and the index just past it."""
+        if toks[i] == "(":
+            term = _quoted(toks, i + 1)
+            _expect(toks, i + 2, ",")
+            rank = _rank(toks, i + 3)
+            _expect(toks, i + 4, ")")
+            end = i + 5
+        else:
+            term, rank, end = _quoted(toks, i), None, i + 1
+        value = self.values.get((term, rank))
+        if value is None:
+            try:
+                value = Value(normalize_term(unquote(term)), None if rank is None else int(rank))
+            except EmptyTermError:
+                raise _LineError(i, "value term must not be blank")
+            self.values[term, rank] = value
+        return value, end
+
+    def annotation(self, toks: list[str]) -> tuple[str, AVPair, str]:
+        _expect(toks, 1, "(")
+        object_id = _ident(toks, 2, "object id")
+        _expect(toks, 3, ",")
+        attribute = self.attribute(toks, 4)
+        _expect(toks, 5, ",")
+        _expect(toks, 6, "[")
+        values: list[Value] = []
+        i = 7
+        if toks[i] != "]":
+            value, i = self.value(toks, i)
+            values.append(value)
+            while toks[i] == ",":
+                value, i = self.value(toks, i + 1)
+                values.append(value)
+        _expect(toks, i, "]")
+        _expect(toks, i + 1, ",")
+        target = _ident(toks, i + 2, "target id")
+        _expect(toks, i + 3, ")")
+        _end(toks, i + 4)
+        return object_id, AVPair(attribute, tuple(values)), target
+
     def flush_group(self) -> None:
         if self.group_id is None:
             return
-        obj = AnnotationObject(
-            self.group_id, self.group_target, tuple(self.group_pairs), IMPORT_META
-        )
         try:
-            self.kb.insert(obj)
+            self.kb.insert(AnnotationObject(
+                self.group_id, self.group_target, tuple(self.group_pairs), IMPORT_META))
             self.loaded += 1
         except AnnoteKBError as exc:  # DuplicateId / CyclicTarget / InvalidObject
             self.reject(self.group_line, 1, str(exc))
-        self.group_id = None
-        self.group_target = None
+        self.group_id = self.group_target = None
         self.group_pairs = []
 
-    def fact_line(self, lineno: int, fact: _FactLine) -> None:
-        if fact.object_id == fact.target:
-            self.reject(lineno, 1, f"annotation {fact.object_id} cannot annotate itself")
+    def fact_line(self, lineno: int, object_id: str, pair: AVPair, target: str) -> None:
+        if pair.attribute is None and not pair.values:
+            self.reject(lineno, 1, "invalid object: pair has neither attribute nor values")
             return
-        if fact.object_id == self.group_id:
-            if fact.target != self.group_target:
-                self.reject(
-                    lineno,
-                    1,
-                    f"conflicting target for {fact.object_id}: "
-                    f"{fact.target} after {self.group_target}",
-                )
+        if object_id == target:
+            self.reject(lineno, 1, f"annotation {object_id} cannot annotate itself")
+            return
+        if object_id == self.group_id:
+            if target != self.group_target:
+                reason = f"conflicting target for {object_id}: {target} after {self.group_target}"
+                self.reject(lineno, 1, reason)
                 return
-            self.group_pairs.append(fact.pair)
+            self.group_pairs.append(pair)
             return
         self.flush_group()
-        self.group_id = fact.object_id
-        self.group_target = fact.target
-        self.group_pairs = [fact.pair]
+        self.group_id = object_id
+        self.group_target = target
+        self.group_pairs = [pair]
         self.group_line = lineno
 
-    def document_line(self, lineno: int, doc_id: str, tier: DocumentTier) -> None:
-        if tier is DocumentTier.TERTIARY:
-            self.pending_tertiary.append((lineno, doc_id))
-            return
-        if doc_id in self.kb.objects:
-            self.reject(lineno, 1, f"{doc_id} is an annotation and stays tertiary")
-            return
+    def declare(self, lineno: int, doc_id: str, tier: DocumentTier) -> bool:
+        """Register a document through the store's tier rules, or reject the line."""
         old = self.kb.documents.get(doc_id)
-        ref = old.content_ref if old else None
-        self.kb.documents[doc_id] = DocumentRecord(doc_id, tier, ref)
-        self.pending_nontertiary.append((lineno, doc_id))
+        try:
+            self.kb.add_document(DocumentRecord(doc_id, tier, old.content_ref if old else None))
+        except ValueError as exc:
+            self.reject(lineno, 1, str(exc))
+            return False
+        return True
+
+    def document_line(self, lineno: int, doc_id: str, tier: DocumentTier) -> None:
+        # Only an annotation may be tertiary, and it may still come further down.
+        if tier is DocumentTier.TERTIARY or self.declare(lineno, doc_id, tier):
+            self.documents.append((lineno, doc_id, tier))
 
     def annotator_line(self, lineno: int, profile: AnnotatorProfile) -> None:
         if profile.id in self.kb.annotators:
@@ -303,33 +304,30 @@ class _Loader:
 
     def finish(self) -> None:
         self.flush_group()
-        for lineno, doc_id in self.pending_tertiary:
-            if doc_id not in self.kb.objects:
-                self.reject(lineno, 1, f"{doc_id} declared tertiary but is not an annotation")
-        for lineno, doc_id in self.pending_nontertiary:
-            if doc_id in self.kb.objects:
-                self.reject(lineno, 1, f"{doc_id} is an annotation and stays tertiary")
+        tertiary_first = sorted(self.documents, key=lambda d: d[2] is not DocumentTier.TERTIARY)
+        for lineno, doc_id, tier in tertiary_first:  # each kind in line order
+            self.declare(lineno, doc_id, tier)
 
     def run(self, text: str) -> None:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.rstrip("\r")
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
+        tokenize = _TOKEN.findall
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            toks = tokenize(line)
+            if not toks or toks[0] == "%":
                 continue
-            cur = _Cursor(line)
+            toks.append("")  # the sentinel marking the end of the line
+            head = toks[0]
             try:
-                head = cur.ident("a clause name")
                 if head == "annotation":
-                    self.fact_line(lineno, _parse_fact(cur))
+                    self.fact_line(lineno, *self.annotation(toks))
                 elif head == "document":
-                    doc_id, tier = _parse_document(cur)
-                    self.document_line(lineno, doc_id, tier)
+                    self.document_line(lineno, *_document(toks))
                 elif head == "annotator":
-                    self.annotator_line(lineno, _parse_annotator(cur))
+                    self.annotator_line(lineno, _annotator(toks))
                 else:
-                    raise cur.error(f"unknown clause: {head}", at=0)
+                    _ident(toks, 0, "a clause name")
+                    self.reject(lineno, 1, f"unknown clause: {head}")
             except _LineError as exc:
-                self.reject(lineno, exc.column, exc.reason)
+                self.reject(lineno, *_locate(line, *exc.args))
         self.finish()
 
 

@@ -27,6 +27,7 @@ from .errors import (
     EmptyTargetError,
     EmptyTermError,
     InvalidPairError,
+    LineBreakError,
 )
 
 # Canonical spellings.  Terms keep their internal spacing; attribute names
@@ -35,6 +36,14 @@ Term = str
 AttributeName = str
 
 _SEPARATOR_RUN = re.compile(r"[\s-]+")
+# Every character str.splitlines breaks a fact file's lines on.  All of
+# them are whitespace, so attribute names lose them to _SEPARATOR_RUN.
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _check_one_line(text: str, what: str) -> None:
+    if _LINE_BREAK.search(text):
+        raise LineBreakError(f"{what} contains a line break: {text!r}")
 
 
 def _fold(raw: str) -> str:
@@ -46,11 +55,13 @@ def _fold(raw: str) -> str:
 def normalize_term(raw: str) -> Term:
     """Canonicalize a value term: NFC, case-folded, trimmed, accents kept.
 
-    Raises EmptyTermError when nothing remains after trimming.
+    Raises EmptyTermError when nothing remains after trimming, and
+    LineBreakError when a line break remains inside the term.
     """
     text = _fold(raw)
     if not text:
         raise EmptyTermError(f"blank term: {raw!r}")
+    _check_one_line(text, "term")
     return text
 
 
@@ -228,10 +239,15 @@ class DocumentRecord:
 
 @dataclass(frozen=True, slots=True)
 class AnnotatorProfile:
+    """An annotator; a name containing a line break raises LineBreakError."""
+
     id: str
     name: str
     role: AnnotatorRole
     role_detail: str = ""
+
+    def __post_init__(self) -> None:
+        _check_one_line(self.name, "annotator name")
 
 
 def classify(obj: AnnotationObject) -> Explicitness:

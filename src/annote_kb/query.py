@@ -39,6 +39,7 @@ from .errors import (
     AllUnresolvedError,
     EmptyAttributeError,
     EmptyTermError,
+    LineBreakError,
     QuerySyntaxError,
     QueryTooDeepError,
     UnresolvedCriterionError,
@@ -52,7 +53,7 @@ from .model import (
     normalize_attribute,
     normalize_term,
 )
-from .quoting import format_values, quote, scan_quoted
+from .quoting import QUOTED, format_values, quote, quote_error, unquote
 from .store import KnowledgeBase
 
 
@@ -128,13 +129,11 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if ch == '"':
-            try:
-                value, end = scan_quoted(text, i)
-            except ValueError as exc:
-                offset, reason = exc.args
-                raise QuerySyntaxError(offset, reason)
-            tokens.append(_Token("STRING", value, i))
-            i = end
+            match = QUOTED.match(text, i)
+            if match is None:
+                raise QuerySyntaxError(*quote_error(text, i))
+            tokens.append(_Token("STRING", unquote(match.group()), i))
+            i = match.end()
             continue
         start = i
         while i < len(text) and not text[i].isspace() and text[i] not in _PUNCT and text[i] != '"':
@@ -222,6 +221,8 @@ class _Parser:
                 terms.append(normalize_term(token.text))
             except EmptyTermError:
                 raise QuerySyntaxError(token.pos, "a non-blank term")
+            except LineBreakError:
+                raise QuerySyntaxError(token.pos, "a term without line breaks")
             if self.peek().kind != "COMMA":
                 break
             self.index += 1

@@ -1,17 +1,46 @@
 """Double-quoted string syntax shared by the fact file and the query language.
 
-Only two escapes exist: \\" for a quote and \\\\ for a backslash.  Value
-lists are written in the same syntax wherever they are displayed.
+Only two escapes exist: \\" for a quote and \\\\ for a backslash.  QUOTED
+matches exactly the well-formed strings, and both tokenizers use it.
+Value lists are written in the same syntax wherever they are displayed.
 """
 
 from __future__ import annotations
 
+import re
+
 from .model import Value
+
+_BODY = r'[^"\\]*(?:\\["\\][^"\\]*)*'
+QUOTED = re.compile(f'"{_BODY}"')  # no capture group: findall yields whole tokens
+_OPENED = re.compile(f'"{_BODY}')  # the longest well-formed start of a string
+_ESCAPE = re.compile(r"\\(.)")
 
 
 def quote(text: str) -> str:
     """Wrap text in double quotes, escaping backslashes and quotes."""
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def unquote(token: str) -> str:
+    """The text of a well-formed quoted string (a QUOTED match)."""
+    body = token[1:-1]
+    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
+
+
+def quote_error(text: str, start: int) -> tuple[int, str]:
+    """(0-based offset, what was expected there) when no well-formed
+    string begins at text[start]: its opening or closing quote, or a valid
+    escape at the first backslash that escapes nothing usable."""
+    opened = _OPENED.match(text, start)
+    if opened is None:
+        return start, "opening quote"
+    end = opened.end()
+    if end == len(text):
+        return start, "closing quote"
+    if end + 1 == len(text):  # text[end] is a backslash
+        return end, "escape character after backslash"
+    return end, 'one of \\" or \\\\'
 
 
 def format_value(value: Value) -> str:
@@ -23,31 +52,3 @@ def format_value(value: Value) -> str:
 
 def format_values(values: tuple[Value, ...]) -> str:
     return "[" + ", ".join(format_value(v) for v in values) + "]"
-
-
-def scan_quoted(text: str, start: int) -> tuple[str, int]:
-    """Read a quoted string beginning at text[start] (which must be '"').
-
-    Returns (value, index just past the closing quote).  Raises ValueError
-    with a position-bearing args tuple (offset, reason) on malformed input.
-    """
-    if start >= len(text) or text[start] != '"':
-        raise ValueError(start, "opening quote")
-    out: list[str] = []
-    i = start + 1
-    while i < len(text):
-        ch = text[i]
-        if ch == '"':
-            return "".join(out), i + 1
-        if ch == "\\":
-            if i + 1 >= len(text):
-                raise ValueError(i, "escape character after backslash")
-            nxt = text[i + 1]
-            if nxt not in ('"', "\\"):
-                raise ValueError(i, 'one of \\" or \\\\')
-            out.append(nxt)
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    raise ValueError(start, "closing quote")

@@ -113,7 +113,7 @@ class KnowledgeBase:
         if record.id in self.objects and record.tier is not DocumentTier.TERTIARY:
             raise ValueError(f"{record.id} is an annotation and stays tertiary")
         if record.tier is DocumentTier.TERTIARY and record.id not in self.objects:
-            raise ValueError(f"{record.id} is not an annotation and cannot be tertiary")
+            raise ValueError(f"{record.id} declared tertiary but is not an annotation")
         self.documents[record.id] = record
 
     def add_annotator(self, profile: AnnotatorProfile) -> None:

@@ -174,6 +174,19 @@ def test_query_nested_too_deep_is_a_syntax_error(kb_path, capsys):
     assert "Traceback" not in err
 
 
+def test_terms_with_line_breaks_are_errors_not_tracebacks(kb_path, capsys):
+    code, out, err = run(capsys, "query", "--kb", kb_path, '("auteur", ["alain\rjuillet"])')
+    assert code == 1
+    assert out == ""
+    assert "syntax error: expected a term without line breaks" in err
+    assert "Traceback" not in err
+    code, out, err = run(capsys, "find", "--kb", kb_path, "pertinent", "alain\u2029juillet")
+    assert code == 1
+    assert out == ""
+    assert "line break" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- find
 
 

@@ -12,6 +12,7 @@ from annote_kb import (
     DocumentTier,
     IMPORT_META,
     KnowledgeBase,
+    LineBreakError,
     Value,
     load_facts,
     load_facts_into,
@@ -302,18 +303,30 @@ def test_random_kbs_round_trip_index_identical():
         assert save_facts(reloaded.kb) == text
 
 
-_term = st.text(
-    alphabet="abcdé \\\"-xyz",
-    min_size=1,
-    max_size=8,
-).filter(lambda s: s.strip())
+# What str.splitlines cuts a fact file on.  Attribute names collapse these
+# like any space; a term or annotator name that keeps one must be refused.
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_chars = st.sampled_from("abcdé \\\"-xyz" * 3 + LINE_BREAKS)
+_term = st.text(alphabet=_chars, min_size=1, max_size=8).filter(lambda s: s.strip())
 
 # attribute names must survive separator collapsing
-_attr = _term.filter(lambda s: s.strip(" -"))
+_attr = _term.filter(lambda s: s.replace("-", " ").strip())
+
+
+def _accepted(make, raw: str, stored: str):
+    """make(raw), or None when the stored text would span lines in a fact
+    file, which is exactly when make must raise LineBreakError."""
+    if len(f"{stored}.".splitlines()) > 1:
+        with pytest.raises(LineBreakError):
+            make(raw)
+        return None
+    return make(raw)
 
 
 @st.composite
 def _mini_kb(draw):
+    """A small base built through the API from drawn spellings, holding
+    the terms and the annotator name that the API accepted."""
     from annote_kb import AnnotationObject, normalize_attribute, normalize_term
 
     kb = KnowledgeBase()
@@ -322,18 +335,24 @@ def _mini_kb(draw):
         pairs = []
         for _ in range(draw(st.integers(min_value=1, max_value=2))):
             kind = draw(st.integers(min_value=0, max_value=2))
-            values = tuple(
-                Value(normalize_term(draw(_term)), draw(st.none() | st.integers(-5, 5)))
-                for _ in range(draw(st.integers(min_value=1, max_value=3)))
-            )
-            if kind == 0:
-                pairs.append(AVPair(None, values))
-            elif kind == 1:
-                pairs.append(AVPair(normalize_attribute(draw(_attr)), ()))
-            else:
-                pairs.append(AVPair(normalize_attribute(draw(_attr)), values))
+            values = []
+            for _ in range(draw(st.integers(min_value=1, max_value=3))):
+                raw = draw(_term)
+                term = _accepted(normalize_term, raw, raw.strip())
+                if term is not None:
+                    values.append(Value(term, draw(st.none() | st.integers(-5, 5))))
+            attribute = None if kind == 0 else normalize_attribute(draw(_attr))
+            if kind == 1:
+                values = []
+            if attribute is not None or values:
+                pairs.append(AVPair(attribute, tuple(values)))
         target = draw(st.sampled_from(["d1", "d2", "d3"]))
-        kb.insert(AnnotationObject(f"n{i}", target, tuple(pairs), IMPORT_META))
+        if pairs:
+            kb.insert(AnnotationObject(f"n{i}", target, tuple(pairs), IMPORT_META))
+    name = draw(st.text(alphabet=_chars, max_size=8))
+    profile = _accepted(lambda raw: AnnotatorProfile("v1", raw, AnnotatorRole.AUTRE), name, name)
+    if profile is not None:
+        kb.add_annotator(profile)
     return kb
 
 

@@ -1,6 +1,7 @@
 """Core model: normalization, classification, object building."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,8 @@ from annote_kb import (
     AnnotationContext,
     AnnotationMeta,
     AnnotationObject,
+    AnnotatorProfile,
+    AnnotatorRole,
     AVPair,
     EmptyAttributeError,
     EmptyTargetError,
@@ -17,6 +20,7 @@ from annote_kb import (
     Explicitness,
     IMPORT_META,
     InvalidPairError,
+    LineBreakError,
     Value,
     as_value,
     build_object,
@@ -70,6 +74,21 @@ def test_normalize_attribute_blank_raises():
     for raw in ("", "  ", "-", " - -- "):
         with pytest.raises(EmptyAttributeError):
             normalize_attribute(raw)
+
+
+def test_line_breaks_in_terms_and_annotator_names_raise():
+    # Whatever str.splitlines cuts a fact file on could not be saved.
+    breaks = [c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".splitlines()) == 2]
+    assert len(breaks) == 10
+    for c in breaks:
+        with pytest.raises(LineBreakError):
+            normalize_term(f"a{c}b")
+        with pytest.raises(LineBreakError):
+            make_pair("a", ["x", f"y{c}z"])
+        with pytest.raises(LineBreakError):
+            AnnotatorProfile("v1", f"Anne{c}Dupont", AnnotatorRole.VEILLEUR)
+        assert normalize_term(f"{c}ab{c}") == "ab"  # trimmed away, nothing left inside
+        assert normalize_attribute(f"a{c}b") == "a-b"  # a separator, like any space
 
 
 @given(FRENCH_TEXT)

@@ -136,6 +136,8 @@ def test_parse_escaped_strings():
         ('("a", ["  "])', 7, "a non-blank term"),
         ('("  ", ["x"])', 1, "a non-blank attribute"),
         ('("k", ["a"]) ET', 15, "'(' or NON"),
+        ('("a", ["x", "y\nz"])', 12, "a term without line breaks"),
+        ('("a", ["y\u2028z"])', 7, "a term without line breaks"),
     ],
 )
 def test_syntax_errors_carry_position(text, position, expected_part):
