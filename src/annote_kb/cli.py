@@ -281,8 +281,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     kb = _read_kb(args.kb).kb
     states = [classify(obj) for obj in kb.objects.values()]
     tiers = {"primary": 0, "secondary": 0, "tertiary": 0}
-    for record in kb.documents.values():
-        tiers[record.tier.value] += 1
+    for doc_id in kb.documents.keys() | kb.objects.keys():
+        tiers[kb.document(doc_id).tier.value] += 1
     payload = {
         "command": "stats",
         "objects": len(kb.objects),

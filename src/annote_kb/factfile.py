@@ -185,7 +185,7 @@ class _Loader:
         self.group_id: str | None = None
         self.group_target: str | None = None
         self.group_pairs: list[AVPair] = []
-        self.group_line = 0
+        self.group_lines: list[int] = []
         # Document lines are declared again once all objects are known, as
         # an annotation further down may take a declared id.
         self.documents: list[tuple[int, str, DocumentTier]] = []
@@ -257,7 +257,8 @@ class _Loader:
                 self.group_id, self.group_target, tuple(self.group_pairs), IMPORT_META))
             self.loaded += 1
         except AnnoteKBError as exc:  # DuplicateId / CyclicTarget / InvalidObject
-            self.reject(self.group_line, 1, str(exc))
+            for lineno in self.group_lines:  # each dropped line is reported
+                self.reject(lineno, 1, str(exc))
         self.group_id = self.group_target = None
         self.group_pairs = []
 
@@ -274,16 +275,17 @@ class _Loader:
                 self.reject(lineno, 1, reason)
                 return
             self.group_pairs.append(pair)
+            self.group_lines.append(lineno)
             return
         self.flush_group()
         self.group_id = object_id
         self.group_target = target
         self.group_pairs = [pair]
-        self.group_line = lineno
+        self.group_lines = [lineno]
 
     def declare(self, lineno: int, doc_id: str, tier: DocumentTier) -> bool:
         """Register a document through the store's tier rules, or reject the line."""
-        old = self.kb.documents.get(doc_id)
+        old = self.kb.document(doc_id)
         try:
             self.kb.add_document(DocumentRecord(doc_id, tier, old.content_ref if old else None))
         except ValueError as exc:
@@ -364,7 +366,7 @@ def save_facts(kb: KnowledgeBase) -> str:
     """
     lines = [HEADER]
     for doc_id in sorted(kb.documents):
-        record = kb.documents[doc_id]
+        record = kb.document(doc_id)
         if record.tier is DocumentTier.TERTIARY:
             continue
         lines.append(f"document({_checked_id(doc_id)}, {record.tier.value}).")

@@ -230,7 +230,8 @@ class AnnotationObject:
 
 @dataclass(frozen=True, slots=True)
 class DocumentRecord:
-    """A document known to the base.  Annotations are tertiary documents."""
+    """A document known to the base.  An annotation is a tertiary document;
+    KnowledgeBase.document derives that tier, so no record need be stored."""
 
     id: str
     tier: DocumentTier

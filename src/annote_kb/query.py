@@ -49,6 +49,7 @@ from .model import (
     AnnotationObject,
     AttributeName,
     Term,
+    _check_one_line,
     covers,
     normalize_attribute,
     normalize_term,
@@ -59,7 +60,9 @@ from .store import KnowledgeBase
 
 @dataclass(frozen=True, slots=True)
 class Criterion:
-    """attribute is None for a constrained criterion (attribute unknown)."""
+    """attribute is None for a constrained criterion (attribute unknown).
+    A term holding a line break raises LineBreakError: query text cannot
+    carry one, so format_query could not print it."""
 
     attribute: AttributeName | None
     values: tuple[Term, ...]
@@ -67,6 +70,8 @@ class Criterion:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("a criterion needs at least one term")
+        for term in self.values:
+            _check_one_line(term, "term")
 
 
 @dataclass(frozen=True, slots=True)

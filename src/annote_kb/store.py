@@ -10,9 +10,10 @@ Pairs without an attribute are not indexed; they carry nothing a query
 could address until the object is explicated.  covering() is the one
 lookup that query evaluation and attribute inference share.
 
-Every stored annotation is also registered as a tertiary document, so an
-annotation can itself be annotated.  Targets that name nothing yet are
-registered as primary documents.  Target chains are kept acyclic, which
+Every stored annotation is also a tertiary document, so an annotation can
+itself be annotated.  document() derives that tier; documents stores only
+declared records and targets that named nothing yet (as primary), re-tiered
+when their id becomes an annotation.  Target chains are kept acyclic, which
 makes trace_chain terminate.
 
 A KnowledgeBase instance expects a single writer; hand readers a copy()
@@ -84,9 +85,11 @@ class KnowledgeBase:
                 self.postings.setdefault(value.term, {}).setdefault(attribute, set()).add(obj.id)
         self.index_by_target.setdefault(obj.target, []).append(obj.id)
 
-        # The annotation is itself a tertiary document; an unknown target
-        # becomes a primary document until something says otherwise.
-        self._set_tier(obj.id, DocumentTier.TERTIARY)
+        # A record held under the annotation's id turns tertiary, as the
+        # annotation is; an unknown target becomes a primary document.
+        held = self.documents.get(obj.id)
+        if held is not None:
+            self.documents[obj.id] = DocumentRecord(obj.id, DocumentTier.TERTIARY, held.content_ref)
         if obj.target not in self.documents and obj.target not in self.objects:
             self.documents[obj.target] = DocumentRecord(obj.target, DocumentTier.PRIMARY)
 
@@ -99,10 +102,12 @@ class KnowledgeBase:
         if cursor == obj.id:
             raise CyclicTargetError(obj.id)
 
-    def _set_tier(self, doc_id: str, tier: DocumentTier) -> None:
-        old = self.documents.get(doc_id)
-        ref = old.content_ref if old else None
-        self.documents[doc_id] = DocumentRecord(doc_id, tier, ref)
+    def document(self, doc_id: str) -> DocumentRecord | None:
+        """doc_id's record, tertiary for any annotation; None for an unknown id."""
+        record = self.documents.get(doc_id)
+        if record is None and doc_id in self.objects:
+            return DocumentRecord(doc_id, DocumentTier.TERTIARY)
+        return record
 
     def add_document(self, record: DocumentRecord) -> None:
         """Register or re-tier a document.
@@ -173,7 +178,7 @@ class KnowledgeBase:
         chain.  Raises UnknownIdError when start names neither an object
         nor a document.  Terminates because insert keeps chains acyclic.
         """
-        if start not in self.objects and start not in self.documents:
+        if self.document(start) is None:
             raise UnknownIdError(start)
         chain = [start]
         cursor = start

@@ -70,12 +70,15 @@ def kb_state(kb) -> tuple:
     """Everything a save/load round trip must preserve, in comparable form.
 
     Meta does not travel through fact files, so it is left out on purpose.
+    Tiers are read through kb.document for every stored document and every
+    annotation, whose tier is derived rather than stored.
     """
     objects = tuple(
         (oid, obj.target, obj.pairs) for oid, obj in sorted(kb.objects.items())
     )
     documents = tuple(
-        (d.id, d.tier, None) for d in (kb.documents[k] for k in sorted(kb.documents))
+        (d.id, d.tier, None)
+        for d in map(kb.document, sorted(kb.documents.keys() | kb.objects.keys()))
     )
     annotators = tuple(
         (a.id, a.name, a.role) for a in (kb.annotators[k] for k in sorted(kb.annotators))

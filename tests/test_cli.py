@@ -290,6 +290,19 @@ def test_stats(kb_path, capsys):
     assert "objects: 7 (7 explicit, 0 implicit)" in out.splitlines()
 
 
+def test_stats_counts_target_turned_annotation_once_as_tertiary(tmp_path, capsys):
+    kb_file = tmp_path / "kb.facts"
+    kb_file.write_text(
+        'annotation(n1, "a", ["x"], later).\n'  # later: a dangling target, primary
+        'annotation(later, "b", ["y"], doc_A).\n'
+        "document(doc_B, secondary).\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, "stats", "--kb", str(kb_file), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["documents"] == {"primary": 1, "secondary": 1, "tertiary": 2}
+
+
 # ---------------------------------------------------------------- ingest
 
 
@@ -311,9 +324,9 @@ def test_ingest_merges_and_reports_duplicates(tmp_path, desk_text, capsys):
     code, out, _ = run(capsys, "ingest", "--kb", str(target), str(source))
     assert code == 2
     lines = out.splitlines()
-    # 7 duplicate objects plus 2 re-declared annotators
-    assert lines[0] == "0 objects loaded, 9 rejected"
-    assert sum("already present" in line for line in lines[1:]) == 7
+    # 7 duplicate objects on 11 lines, plus 2 re-declared annotators
+    assert lines[0] == "0 objects loaded, 13 rejected"
+    assert sum("already present" in line for line in lines[1:]) == 11
     assert sum("already declared" in line for line in lines[1:]) == 2
 
 
@@ -325,6 +338,25 @@ def test_ingest_partial(tmp_path, desk_text, capsys):
     assert code == 2
     assert out.splitlines()[0] == "7 objects loaded, 1 rejected"
     assert target.exists()
+
+
+def test_ingest_reports_every_dropped_line(tmp_path, capsys):
+    source = tmp_path / "input.facts"
+    source.write_text(
+        'annotation(n1, "a", ["x"], d).\n'
+        'annotation(n2, "a", ["y"], d).\n'
+        'annotation(n1, "b", ["z"], d).\n'
+        'annotation(n1, "c", ["w"], d).\n',
+        encoding="utf-8",
+    )
+    target = tmp_path / "kb.facts"
+    code, out, _ = run(capsys, "ingest", "--kb", str(target), str(source))
+    assert code == 2
+    assert out.splitlines() == [
+        "2 objects loaded, 2 rejected",
+        "line 3, column 1: object id already present: n1",
+        "line 4, column 1: object id already present: n1",
+    ]
 
 
 def test_ingest_leaves_kb_with_unreadable_lines_untouched(tmp_path, desk_text, capsys):

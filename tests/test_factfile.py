@@ -214,7 +214,7 @@ def test_document_line_cannot_demote_annotation():
     )
     (diag,) = result.diagnostics
     assert "stays tertiary" in diag.reason
-    assert result.kb.documents["n1"].tier is DocumentTier.TERTIARY
+    assert result.kb.document("n1").tier is DocumentTier.TERTIARY
 
 
 def test_annotator_lines():
@@ -243,6 +243,38 @@ def test_loading_continues_after_bad_lines():
     assert sorted(result.kb.objects) == ["n1", "n2"]
     assert len(result.diagnostics) == 2
     assert [d.line for d in result.diagnostics] == [1, 3]
+
+
+def test_every_line_of_a_rejected_group_is_reported():
+    result = load_facts(
+        'annotation(n1, "a", ["x"], d).\n'
+        'annotation(n2, "a", ["y"], d).\n'
+        'annotation(n1, "b", ["z"], d).\n'
+        'annotation(n1, "c", ["w"], d).\n'
+    )
+    assert sorted(result.kb.objects) == ["n1", "n2"]
+    assert result.kb.objects["n1"].pairs == (make_pair("a", ["x"]),)
+    assert [(d.line, d.column, d.reason) for d in result.diagnostics] == [
+        (3, 1, "object id already present: n1"),
+        (4, 1, "object id already present: n1"),
+    ]
+
+
+def test_rejected_group_reports_each_line_once():
+    result = load_facts(
+        'annotation(a, "k", ["v"], b).\n'
+        'annotation(b, "k", ["v"], a).\n'  # closes a cycle: the group is dropped
+        'annotation(b, "k", ["w"], d).\n'  # conflicting target, rejected at once
+        "% a comment does not end the group\n"
+        'annotation(b, "j", ["u"], a).\n'
+    )
+    assert sorted(result.kb.objects) == ["a"]
+    cycle = "target chain of b loops back onto itself"
+    assert [(d.line, d.reason) for d in result.diagnostics] == [
+        (3, "conflicting target for b: d after a"),
+        (2, cycle),
+        (5, cycle),
+    ]
 
 
 def test_save_empty_kb_is_header_only():

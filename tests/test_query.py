@@ -14,6 +14,7 @@ from annote_kb import (
     IMPORT_META,
     KnowledgeBase,
     Leaf,
+    LineBreakError,
     Not,
     Or,
     QuerySyntaxError,
@@ -146,6 +147,18 @@ def test_syntax_errors_carry_position(text, position, expected_part):
     assert err.value.position == position
     assert expected_part in err.value.expected
     assert f"at position {position}" in str(err.value)
+
+
+def test_criterion_terms_with_line_breaks_raise():
+    # Query text cannot carry a line break inside a term, so no tree may
+    # hold one: format_query would print text that parse_query refuses.
+    for term in ["x\ny", "x\ry", "x\u2028y", "\x85"]:
+        with pytest.raises(LineBreakError):
+            Criterion("a", (term,))
+        with pytest.raises(LineBreakError):
+            Criterion(None, ("ok", term))
+    expr = Leaf(Criterion("a", ("x y", "z\tw")))  # other whitespace is fine
+    assert parse_query(format_query(expr)) == expr
 
 
 def test_bad_escape_reported_at_backslash():

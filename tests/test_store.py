@@ -40,7 +40,7 @@ def test_insert_updates_all_indexes():
 def test_insert_registers_documents():
     kb = KnowledgeBase()
     kb.insert(obj("n1", "doc_A", [("a", ["x"])]))
-    assert kb.documents["n1"].tier is DocumentTier.TERTIARY
+    assert kb.document("n1").tier is DocumentTier.TERTIARY
     assert kb.documents["doc_A"].tier is DocumentTier.PRIMARY  # dangling target
 
 
@@ -49,14 +49,43 @@ def test_insert_upgrades_dangling_record_to_tertiary():
     kb.insert(obj("n1", "later", [("a", ["x"])]))
     assert kb.documents["later"].tier is DocumentTier.PRIMARY
     kb.insert(obj("later", "doc_Z", [("b", ["y"])]))
-    assert kb.documents["later"].tier is DocumentTier.TERTIARY
+    assert kb.document("later") == DocumentRecord("later", DocumentTier.TERTIARY)
+    assert kb.documents["later"] == kb.document("later")  # the stored record agrees
 
 
 def test_declared_tier_survives_annotation():
     kb = KnowledgeBase()
-    kb.add_document(DocumentRecord("doc_B", DocumentTier.SECONDARY))
+    record = DocumentRecord("doc_B", DocumentTier.SECONDARY, "file:///b")
+    kb.add_document(record)
     kb.insert(obj("n1", "doc_B", [("a", ["x"])]))
-    assert kb.documents["doc_B"].tier is DocumentTier.SECONDARY
+    assert kb.documents["doc_B"] == record
+    assert kb.document("doc_B") == record
+    assert kb.document("nowhere") is None
+    assert kb.document("x") is None  # a term, not a document
+
+
+def test_document_of_annotation_is_derived_not_stored():
+    kb = KnowledgeBase()
+    kb.insert(obj("n1", "doc_A", [("a", ["x"])]))
+    assert "n1" not in kb.documents
+    assert kb.document("n1") == DocumentRecord("n1", DocumentTier.TERTIARY)
+
+
+def test_record_declared_before_annotation_keeps_content_ref():
+    kb = KnowledgeBase()
+    kb.add_document(DocumentRecord("n1", DocumentTier.SECONDARY, "file:///n1"))
+    kb.insert(obj("n1", "doc_A", [("a", ["x"])]))
+    expected = DocumentRecord("n1", DocumentTier.TERTIARY, "file:///n1")
+    assert kb.document("n1") == expected
+    assert kb.documents["n1"] == expected  # documents never contradicts document()
+
+
+def test_generated_base_stores_no_record_for_annotations():
+    kb = random_kb(seed=13, n_objects=500)
+    # Targets are documents or earlier annotations, and nothing is declared.
+    assert not kb.documents.keys() & kb.objects.keys()
+    assert {kb.document(oid).tier for oid in kb.objects} == {DocumentTier.TERTIARY}
+    assert {r.tier for r in kb.documents.values()} == {DocumentTier.PRIMARY}
 
 
 def test_duplicate_id_rejected():
@@ -99,7 +128,7 @@ def test_add_document_tier_rules():
     with pytest.raises(ValueError):
         kb.add_document(DocumentRecord("n1", DocumentTier.PRIMARY))
     kb.add_document(DocumentRecord("n1", DocumentTier.TERTIARY, "file:///note"))
-    assert kb.documents["n1"].content_ref == "file:///note"
+    assert kb.document("n1") == DocumentRecord("n1", DocumentTier.TERTIARY, "file:///note")
 
 
 def test_attributes_of(desk_kb):
