@@ -9,7 +9,7 @@
     annote-kb export    --kb kb.facts
     annote-kb stats     --kb kb.facts
 
-Exit codes: 0 success, 1 I/O or syntax error, 2 partial ingest,
+Exit codes: 0 success, 1 I/O, syntax or other error, 2 partial ingest,
 3 unresolved terms in a strict find, 4 explicitation found no candidates.
 The kb file is re-read on every invocation; only ingest writes it back,
 through a temporary file that is flushed to disk and renamed over it.
@@ -68,7 +68,7 @@ def _read_kb(path: str) -> LoadResult:
     """Load the kb file, listing its diagnostics on stderr as warnings."""
     try:
         text = _read_file(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read kb: {exc}")
     result = load_facts(text)
     for diag in result.diagnostics:
@@ -119,7 +119,7 @@ def _pair_json(pair) -> dict:
 def cmd_ingest(args: argparse.Namespace) -> int:
     try:
         text = _read_file(args.input)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read input: {exc}")
     kb = KnowledgeBase()
     if os.path.exists(args.kb):
@@ -212,10 +212,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     except QuerySyntaxError as exc:
         caret = " " * exc.position + "^"
         raise _CliError(f"syntax error: expected {exc.expected}\n  {args.expr}\n  {caret}")
-    try:
-        ids = evaluate(kb, expr)
-    except AnnoteKBError as exc:
-        raise _CliError(str(exc))
+    ids = evaluate(kb, expr)
     lines = [f"query: {format_query(expr)}", f"{len(ids)} results"] + ids
     payload = {"command": "query", "query": format_query(expr), "results": ids}
     _emit(args, payload, lines)
@@ -228,8 +225,6 @@ def cmd_find(args: argparse.Namespace) -> int:
         report = rewrite_constrained(kb, args.terms)
     except AllUnresolvedError as exc:
         raise _CliError("unresolved: " + ", ".join(exc.terms), EXIT_UNRESOLVED)
-    except AnnoteKBError as exc:
-        raise _CliError(str(exc))
     unresolved = list(report.unresolved_terms)
     if unresolved and not args.strict:
         print("warning: dropping unresolved terms: " + ", ".join(unresolved), file=sys.stderr)
@@ -259,10 +254,7 @@ def cmd_find(args: argparse.Namespace) -> int:
 
 def cmd_chain(args: argparse.Namespace) -> int:
     kb = _read_kb(args.kb).kb
-    try:
-        chain = kb.trace_chain(args.id)
-    except AnnoteKBError as exc:
-        raise _CliError(str(exc))
+    chain = kb.trace_chain(args.id)
     _emit(args, {"command": "chain", "chain": chain}, chain)
     return EXIT_OK
 
@@ -368,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except AnnoteKBError as exc:  # any other engine error is a plain failure
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -10,11 +10,12 @@ where <attribute> is a double-quoted string or `_` (attribute unknown),
 (legal only when the attribute is present), and ids match [A-Za-z0-9_]+.
 
 Loading is lenient: every rejected line becomes a Diagnostic and loading
-continues; consecutive annotation lines sharing an object id merge into one
-multi-pair object.  Saving is strict and canonical: UTF-8, LF endings,
-normalized spellings, documents then annotators then annotation lines with
-objects sorted by id and pairs in insertion order.  Saving a loaded file is
-a fixpoint: save(load(save(kb))) == save(kb).
+continues; diagnostics come in line order.  Consecutive annotation lines
+sharing an object id merge into one multi-pair object.  Saving is strict
+and canonical: UTF-8, LF endings, normalized spellings, documents then
+annotators then annotation lines with objects sorted by id and pairs in
+insertion order.  Saving a loaded file is a fixpoint:
+save(load(save(kb))) == save(kb).
 
 Each statement line is split into tokens by one regex: a well-formed
 quoted string, a word (an id, a keyword or a rank), a negative rank, or
@@ -186,8 +187,8 @@ class _Loader:
         self.group_target: str | None = None
         self.group_pairs: list[AVPair] = []
         self.group_lines: list[int] = []
-        # Document lines are declared again once all objects are known, as
-        # an annotation further down may take a declared id.
+        # Document lines are declared once all objects are known, as an
+        # annotation further down may take a declared id.
         self.documents: list[tuple[int, str, DocumentTier]] = []
 
     def reject(self, lineno: int, column: int, reason: str) -> None:
@@ -283,20 +284,13 @@ class _Loader:
         self.group_pairs = [pair]
         self.group_lines = [lineno]
 
-    def declare(self, lineno: int, doc_id: str, tier: DocumentTier) -> bool:
+    def declare(self, lineno: int, doc_id: str, tier: DocumentTier) -> None:
         """Register a document through the store's tier rules, or reject the line."""
         old = self.kb.document(doc_id)
         try:
             self.kb.add_document(DocumentRecord(doc_id, tier, old.content_ref if old else None))
         except ValueError as exc:
             self.reject(lineno, 1, str(exc))
-            return False
-        return True
-
-    def document_line(self, lineno: int, doc_id: str, tier: DocumentTier) -> None:
-        # Only an annotation may be tertiary, and it may still come further down.
-        if tier is DocumentTier.TERTIARY or self.declare(lineno, doc_id, tier):
-            self.documents.append((lineno, doc_id, tier))
 
     def annotator_line(self, lineno: int, profile: AnnotatorProfile) -> None:
         if profile.id in self.kb.annotators:
@@ -306,9 +300,10 @@ class _Loader:
 
     def finish(self) -> None:
         self.flush_group()
-        tertiary_first = sorted(self.documents, key=lambda d: d[2] is not DocumentTier.TERTIARY)
-        for lineno, doc_id, tier in tertiary_first:  # each kind in line order
+        for lineno, doc_id, tier in self.documents:
             self.declare(lineno, doc_id, tier)
+        # Groups are reported when flushed and documents only now: restore line order.
+        self.diagnostics.sort(key=lambda d: d.line)
 
     def run(self, text: str) -> None:
         tokenize = _TOKEN.findall
@@ -322,7 +317,7 @@ class _Loader:
                 if head == "annotation":
                     self.fact_line(lineno, *self.annotation(toks))
                 elif head == "document":
-                    self.document_line(lineno, *_document(toks))
+                    self.documents.append((lineno, *_document(toks)))
                 elif head == "annotator":
                     self.annotator_line(lineno, _annotator(toks))
                 else:

@@ -32,6 +32,7 @@ Chains of NON are folded in a loop and may be any length.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -121,33 +122,26 @@ class _Token:
     pos: int
 
 
+# A well-formed string, punctuation, a word, or a '"' that opens no
+# well-formed string; whitespace between tokens is skipped.
+_TOKEN = re.compile(QUOTED.pattern + r'|[()\[\],]|[^\s()\[\],"]+|"')
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, i))
-            i += 1
-            continue
-        if ch == '"':
-            match = QUOTED.match(text, i)
-            if match is None:
-                raise QuerySyntaxError(*quote_error(text, i))
-            tokens.append(_Token("STRING", unquote(match.group()), i))
-            i = match.end()
-            continue
-        start = i
-        while i < len(text) and not text[i].isspace() and text[i] not in _PUNCT and text[i] != '"':
-            i += 1
-        word = text[start:i]
-        kind = _KEYWORDS.get(word.casefold())
-        if kind is None:
-            raise QuerySyntaxError(start, f"ET/OU/NON keyword, got {word!r}")
-        tokens.append(_Token(kind, word, start))
+    for match in _TOKEN.finditer(text):
+        tok, pos = match.group(), match.start()
+        if tok in _PUNCT:
+            tokens.append(_Token(_PUNCT[tok], tok, pos))
+        elif tok[0] == '"':
+            if len(tok) == 1:
+                raise QuerySyntaxError(*quote_error(text, pos))
+            tokens.append(_Token("STRING", unquote(tok), pos))
+        else:
+            kind = _KEYWORDS.get(tok.casefold())
+            if kind is None:
+                raise QuerySyntaxError(pos, f"ET/OU/NON keyword, got {tok!r}")
+            tokens.append(_Token(kind, tok, pos))
     tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
@@ -158,8 +152,8 @@ class _Parser:
         self.index = 0
         self.depth = 0  # NON and grouping parentheses currently open
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.index + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.index]
 
     def take(self, kind: str, expected: str) -> _Token:
         token = self.peek()

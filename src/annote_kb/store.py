@@ -11,10 +11,10 @@ could address until the object is explicated.  covering() is the one
 lookup that query evaluation and attribute inference share.
 
 Every stored annotation is also a tertiary document, so an annotation can
-itself be annotated.  document() derives that tier; documents stores only
-declared records and targets that named nothing yet (as primary), re-tiered
-when their id becomes an annotation.  Target chains are kept acyclic, which
-makes trace_chain terminate.
+itself be annotated.  document() derives that tier, so documents holds
+only declared records, targets that named nothing yet (as primary), and
+tertiary records that carry a content_ref.  Target chains are kept
+acyclic, which makes trace_chain terminate.
 
 A KnowledgeBase instance expects a single writer; hand readers a copy()
 snapshot when writes may happen concurrently.
@@ -85,10 +85,10 @@ class KnowledgeBase:
                 self.postings.setdefault(value.term, {}).setdefault(attribute, set()).add(obj.id)
         self.index_by_target.setdefault(obj.target, []).append(obj.id)
 
-        # A record held under the annotation's id turns tertiary, as the
-        # annotation is; an unknown target becomes a primary document.
-        held = self.documents.get(obj.id)
-        if held is not None:
+        # A record held under the annotation's id stays, as tertiary, only
+        # for its content_ref; an unknown target becomes a primary document.
+        held = self.documents.pop(obj.id, None)
+        if held is not None and held.content_ref is not None:
             self.documents[obj.id] = DocumentRecord(obj.id, DocumentTier.TERTIARY, held.content_ref)
         if obj.target not in self.documents and obj.target not in self.objects:
             self.documents[obj.target] = DocumentRecord(obj.target, DocumentTier.PRIMARY)
@@ -114,12 +114,17 @@ class KnowledgeBase:
 
         Ids that name an annotation are pinned to the tertiary tier, and
         only annotation ids may be tertiary; violations raise ValueError.
+        A tertiary record without content_ref is what document() derives,
+        so it drops the record held under its id instead of being stored.
         """
         if record.id in self.objects and record.tier is not DocumentTier.TERTIARY:
             raise ValueError(f"{record.id} is an annotation and stays tertiary")
         if record.tier is DocumentTier.TERTIARY and record.id not in self.objects:
             raise ValueError(f"{record.id} declared tertiary but is not an annotation")
-        self.documents[record.id] = record
+        if record.tier is DocumentTier.TERTIARY and record.content_ref is None:
+            self.documents.pop(record.id, None)
+        else:
+            self.documents[record.id] = record
 
     def add_annotator(self, profile: AnnotatorProfile) -> None:
         self.annotators[profile.id] = profile

@@ -442,6 +442,32 @@ def test_missing_kb_file(tmp_path, capsys):
     assert "cannot read kb" in err
 
 
+def test_files_that_are_not_utf8_exit_1_and_stay_untouched(tmp_path, desk_text, capsys):
+    bad = tmp_path / "bad.facts"
+    bad_bytes = desk_text.encode("utf-8") + b"% caf\xe9\n"  # Latin-1, not UTF-8
+    bad.write_bytes(bad_bytes)
+    good = tmp_path / "input.facts"
+    good.write_text(IMPLICIT_LINE, encoding="utf-8")
+    kb = tmp_path / "kb.facts"
+    kb_bytes = desk_text.encode("utf-8")
+    kb.write_bytes(kb_bytes)
+
+    code, out, err = run(capsys, "stats", "--kb", str(bad))
+    assert (code, out) == (1, "")
+    assert "error: cannot read kb" in err and "Traceback" not in err
+
+    code, out, err = run(capsys, "ingest", "--kb", str(kb), str(bad))
+    assert (code, out) == (1, "")
+    assert "error: cannot read input" in err
+    assert kb.read_bytes() == kb_bytes
+
+    code, out, err = run(capsys, "ingest", "--kb", str(bad), str(good))
+    assert (code, out) == (1, "")
+    assert "error: cannot read kb" in err
+    assert bad.read_bytes() == bad_bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.facts", "input.facts", "kb.facts"]
+
+
 def test_kb_diagnostics_become_warnings(tmp_path, desk_text, capsys):
     path = tmp_path / "kb.facts"
     path.write_text(desk_text + "mystery(x).\n", encoding="utf-8")

@@ -201,6 +201,7 @@ def test_document_line_tier_rules():
     kb = result.kb
     assert kb.documents["doc_X"].tier is DocumentTier.SECONDARY
     assert "ghost" not in kb.documents
+    assert "n1" not in kb.documents  # its tertiary tier is derived, not stored
     reasons = " | ".join(d.reason for d in result.diagnostics)
     assert "unknown document tier" in reasons
     assert "not an annotation" in reasons
@@ -271,8 +272,8 @@ def test_rejected_group_reports_each_line_once():
     assert sorted(result.kb.objects) == ["a"]
     cycle = "target chain of b loops back onto itself"
     assert [(d.line, d.reason) for d in result.diagnostics] == [
-        (3, "conflicting target for b: d after a"),
         (2, cycle),
+        (3, "conflicting target for b: d after a"),
         (5, cycle),
     ]
 
@@ -333,6 +334,14 @@ def test_random_kbs_round_trip_index_identical():
         assert not reloaded.diagnostics
         assert kb_state(reloaded.kb) == kb_state(kb)
         assert save_facts(reloaded.kb) == text
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "shuffled"])
+def test_reloaded_base_holds_the_same_document_records(shuffled):
+    # Insertion order decides whether a target is stored as primary before
+    # its id becomes an annotation; the reloaded base must not tell.
+    kb = random_kb(1, n_objects=2000, shuffled=shuffled)
+    assert load_facts(save_facts(kb)).kb.documents == kb.documents
 
 
 # What str.splitlines cuts a fact file on.  Attribute names collapse these

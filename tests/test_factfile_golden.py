@@ -1,18 +1,24 @@
 """Fact file diagnostics pinned on a seeded fuzz corpus.
 
 tests/data/fuzz_diagnostics.txt holds the (line, column, reason) of every
-diagnostic that loading the corpus below produces.  It was recorded with
-the character-at-a-time parser that the token parser replaced, so any
-change in where or why a line is rejected shows up here.  The corpus is
-rebuilt from a fixed seed; the file's first line holds its SHA-256, so a
-change to the generator cannot pass for a change in the parser.
+diagnostic that loading the corpus below produces, in line order.  Its rows
+were recorded with the character-at-a-time parser that the token parser
+replaced, so any change in where or why a line is rejected shows up here.
+The corpus is rebuilt from a fixed seed; the file's first line holds its
+SHA-256, so a change to the generator cannot pass for a change in the
+parser.
+
+kb.documents holds only records that kb.document() cannot derive: declared
+non-tertiary records, dangling targets (as primary) and tertiary records
+with a content_ref.  So the loaded corpus and its saved copy hold the same
+records, although the copy lists its lines in another order.
 """
 
 import hashlib
 import pathlib
 import random
 
-from annote_kb import load_facts, save_facts
+from annote_kb import DocumentTier, load_facts, save_facts
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "fuzz_diagnostics.txt"
@@ -227,8 +233,15 @@ def test_fuzz_corpus_diagnostics_match_golden():
     result = load_facts(corpus)  # never raises, whatever the line
     assert _format_golden(corpus, result.diagnostics) == expected
     assert result.loaded > 1000
+    lines = [d.line for d in result.diagnostics]
+    assert all(a < b for a, b in zip(lines, lines[1:])), "diagnostics out of line order"
 
     saved = save_facts(result.kb)
     reloaded = load_facts(saved)
     assert not reloaded.diagnostics
     assert save_facts(reloaded.kb) == saved
+    assert reloaded.kb.documents == result.kb.documents
+    assert not [
+        record for record in result.kb.documents.values()
+        if record.tier is DocumentTier.TERTIARY and record.content_ref is None
+    ]

@@ -139,6 +139,11 @@ def test_parse_escaped_strings():
         ('("k", ["a"]) ET', 15, "'(' or NON"),
         ('("a", ["x", "y\nz"])', 12, "a term without line breaks"),
         ('("a", ["y\u2028z"])', 7, "a term without line breaks"),
+        # Any str.isspace() character separates tokens, not only ASCII ones.
+        ('("k", ["a"])\x1fET\x1f', 16, "'(' or NON"),
+        ('("k",\xa0["a"]\xa0', 12, "')'"),
+        ('("k"\u3000["a"])', 5, "','"),
+        ('("k", ["a"]) ÉT ("k", ["b"])', 13, "keyword, got 'ÉT'"),
     ],
 )
 def test_syntax_errors_carry_position(text, position, expected_part):

@@ -50,7 +50,7 @@ def test_insert_upgrades_dangling_record_to_tertiary():
     assert kb.documents["later"].tier is DocumentTier.PRIMARY
     kb.insert(obj("later", "doc_Z", [("b", ["y"])]))
     assert kb.document("later") == DocumentRecord("later", DocumentTier.TERTIARY)
-    assert kb.documents["later"] == kb.document("later")  # the stored record agrees
+    assert "later" not in kb.documents  # document() derives it, so nothing is stored
 
 
 def test_declared_tier_survives_annotation():
@@ -129,6 +129,18 @@ def test_add_document_tier_rules():
         kb.add_document(DocumentRecord("n1", DocumentTier.PRIMARY))
     kb.add_document(DocumentRecord("n1", DocumentTier.TERTIARY, "file:///note"))
     assert kb.document("n1") == DocumentRecord("n1", DocumentTier.TERTIARY, "file:///note")
+
+
+def test_tertiary_record_without_content_ref_is_not_stored():
+    kb = KnowledgeBase()
+    kb.insert(obj("n1", "d", [("a", ["x"])]))
+    kb.add_document(DocumentRecord("n1", DocumentTier.TERTIARY))
+    assert "n1" not in kb.documents
+    kb.add_document(DocumentRecord("n1", DocumentTier.TERTIARY, "file:///note"))
+    assert kb.documents["n1"].content_ref == "file:///note"
+    kb.add_document(DocumentRecord("n1", DocumentTier.TERTIARY))  # drops the held record
+    assert "n1" not in kb.documents
+    assert kb.document("n1") == DocumentRecord("n1", DocumentTier.TERTIARY)
 
 
 def test_attributes_of(desk_kb):
