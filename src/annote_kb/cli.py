@@ -77,7 +77,7 @@ def _read_kb(path: str) -> LoadResult:
 
 
 def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
 
@@ -272,9 +272,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     kb = _read_kb(args.kb).kb
     states = [classify(obj) for obj in kb.objects.values()]
-    tiers = {"primary": 0, "secondary": 0, "tertiary": 0}
-    for doc_id in kb.documents.keys() | kb.objects.keys():
-        tiers[kb.document(doc_id).tier.value] += 1
+    tiers = {"primary": 0, "secondary": 0, "tertiary": len(kb.objects)}
+    for record in kb.documents.values():
+        tiers[record.tier.value] += 1
     payload = {
         "command": "stats",
         "objects": len(kb.objects),

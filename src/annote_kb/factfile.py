@@ -286,9 +286,8 @@ class _Loader:
 
     def declare(self, lineno: int, doc_id: str, tier: DocumentTier) -> None:
         """Register a document through the store's tier rules, or reject the line."""
-        old = self.kb.document(doc_id)
         try:
-            self.kb.add_document(DocumentRecord(doc_id, tier, old.content_ref if old else None))
+            self.kb.add_document(DocumentRecord(doc_id, tier))
         except ValueError as exc:
             self.reject(lineno, 1, str(exc))
 
@@ -356,14 +355,12 @@ def _checked_id(some_id: str) -> str:
 def save_facts(kb: KnowledgeBase) -> str:
     """Serialize a knowledge base to canonical fact text.
 
-    Tertiary document records are implied by the annotation lines and are
-    not written.  Raises ValueError if an id cannot be represented.
+    Tertiary documents are the annotations themselves, so only the
+    records in kb.documents are written as document lines.  Raises
+    ValueError if an id cannot be represented.
     """
     lines = [HEADER]
-    for doc_id in sorted(kb.documents):
-        record = kb.document(doc_id)
-        if record.tier is DocumentTier.TERTIARY:
-            continue
+    for doc_id, record in sorted(kb.documents.items()):
         lines.append(f"document({_checked_id(doc_id)}, {record.tier.value}).")
     for annotator_id in sorted(kb.annotators):
         profile = kb.annotators[annotator_id]

@@ -231,11 +231,10 @@ class AnnotationObject:
 @dataclass(frozen=True, slots=True)
 class DocumentRecord:
     """A document known to the base.  An annotation is a tertiary document;
-    KnowledgeBase.document derives that tier, so no record need be stored."""
+    KnowledgeBase.document derives that tier, so no such record is stored."""
 
     id: str
     tier: DocumentTier
-    content_ref: str | None = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,9 +19,10 @@ criterion's terms.  NOT complements within the set of stored objects.
 It is evaluated as an exclusion against its sibling operands (ET NON a
 subtracts a's hits), so no set of every stored id is ever built; only a
 query whose result is itself a complement walks the stored ids, once.
-format_query prints the canonical form, which parses back to the same
-tree: parse_query(format_query(e)) == e, as long as that text stays
-within MAX_NESTING levels (it adds parentheses around ET under OU).
+format_query prints the canonical form, with only the parentheses that
+precedence and nesting require; it parses back to the same tree:
+parse_query(format_query(e)) == e, as long as that text stays within
+MAX_NESTING levels.
 
 Query text may nest NON and parentheses at most MAX_NESTING levels deep;
 deeper text is a QuerySyntaxError.  Trees built through the API may nest
@@ -273,8 +274,10 @@ def _format(expr: QueryExpr, depth: int) -> str:
     parts = []
     for child in _operands(expr, depth):
         text = _format(child, depth + 1)
-        # NON binds tighter than ET/OU, so only ET/OU operands need parens.
-        parts.append(text if isinstance(child, (Leaf, Not)) else f"({text})")
+        # NON binds tighter than ET, and ET tighter than OU; a node nested
+        # in its own kind keeps its parens so the tree keeps its shape.
+        bare = isinstance(child, (Leaf, Not)) or (isinstance(expr, Or) and isinstance(child, And))
+        parts.append(text if bare else f"({text})")
     text = (" ET " if isinstance(expr, And) else " OU ").join(parts)
     if nots:
         text = f"({text})"

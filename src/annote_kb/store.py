@@ -12,8 +12,8 @@ lookup that query evaluation and attribute inference share.
 
 Every stored annotation is also a tertiary document, so an annotation can
 itself be annotated.  document() derives that tier, so documents holds
-only declared records, targets that named nothing yet (as primary), and
-tertiary records that carry a content_ref.  Target chains are kept
+exactly the documents that are not annotations: declared records and
+targets that named nothing yet (as primary).  Target chains are kept
 acyclic, which makes trace_chain terminate.
 
 A KnowledgeBase instance expects a single writer; hand readers a copy()
@@ -85,45 +85,37 @@ class KnowledgeBase:
                 self.postings.setdefault(value.term, {}).setdefault(attribute, set()).add(obj.id)
         self.index_by_target.setdefault(obj.target, []).append(obj.id)
 
-        # A record held under the annotation's id stays, as tertiary, only
-        # for its content_ref; an unknown target becomes a primary document.
-        held = self.documents.pop(obj.id, None)
-        if held is not None and held.content_ref is not None:
-            self.documents[obj.id] = DocumentRecord(obj.id, DocumentTier.TERTIARY, held.content_ref)
+        # The annotation is now a tertiary document, which document()
+        # derives; an unknown target becomes a primary document.
+        self.documents.pop(obj.id, None)
         if obj.target not in self.documents and obj.target not in self.objects:
             self.documents[obj.target] = DocumentRecord(obj.target, DocumentTier.PRIMARY)
 
     def _check_acyclic(self, obj: AnnotationObject) -> None:
         cursor = obj.target
         while cursor in self.objects:
-            if cursor == obj.id:
-                raise CyclicTargetError(obj.id)
             cursor = self.objects[cursor].target
         if cursor == obj.id:
             raise CyclicTargetError(obj.id)
 
     def document(self, doc_id: str) -> DocumentRecord | None:
         """doc_id's record, tertiary for any annotation; None for an unknown id."""
-        record = self.documents.get(doc_id)
-        if record is None and doc_id in self.objects:
+        if doc_id in self.objects:
             return DocumentRecord(doc_id, DocumentTier.TERTIARY)
-        return record
+        return self.documents.get(doc_id)
 
     def add_document(self, record: DocumentRecord) -> None:
         """Register or re-tier a document.
 
         Ids that name an annotation are pinned to the tertiary tier, and
         only annotation ids may be tertiary; violations raise ValueError.
-        A tertiary record without content_ref is what document() derives,
-        so it drops the record held under its id instead of being stored.
+        A tertiary record is what document() derives, so it is not stored.
         """
         if record.id in self.objects and record.tier is not DocumentTier.TERTIARY:
             raise ValueError(f"{record.id} is an annotation and stays tertiary")
         if record.tier is DocumentTier.TERTIARY and record.id not in self.objects:
             raise ValueError(f"{record.id} declared tertiary but is not an annotation")
-        if record.tier is DocumentTier.TERTIARY and record.content_ref is None:
-            self.documents.pop(record.id, None)
-        else:
+        if record.tier is not DocumentTier.TERTIARY:
             self.documents[record.id] = record
 
     def add_annotator(self, profile: AnnotatorProfile) -> None:
@@ -183,7 +175,7 @@ class KnowledgeBase:
         chain.  Raises UnknownIdError when start names neither an object
         nor a document.  Terminates because insert keeps chains acyclic.
         """
-        if self.document(start) is None:
+        if start not in self.objects and start not in self.documents:
             raise UnknownIdError(start)
         chain = [start]
         cursor = start

@@ -77,7 +77,7 @@ def kb_state(kb) -> tuple:
         (oid, obj.target, obj.pairs) for oid, obj in sorted(kb.objects.items())
     )
     documents = tuple(
-        (d.id, d.tier, None)
+        (d.id, d.tier)
         for d in map(kb.document, sorted(kb.documents.keys() | kb.objects.keys()))
     )
     annotators = tuple(

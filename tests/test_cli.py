@@ -468,6 +468,34 @@ def test_files_that_are_not_utf8_exit_1_and_stay_untouched(tmp_path, desk_text, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.facts", "input.facts", "kb.facts"]
 
 
+def test_files_with_a_byte_order_mark_load_from_line_1(tmp_path, capsys):
+    bom = b"\xef\xbb\xbf"
+    marked = tmp_path / "marked.facts"
+    marked.write_bytes(bom + b"document(d1, primary).\n")
+    code, out, err = run(capsys, "stats", "--kb", str(marked))
+    assert (code, err) == (0, "")
+    assert "documents: 1 primary, 0 secondary, 0 tertiary" in out.splitlines()
+
+    kb = tmp_path / "kb.facts"
+    code, out, err = run(capsys, "ingest", "--kb", str(kb), str(marked))
+    assert (code, err) == (0, "")
+    assert kb.read_text(encoding="utf-8").splitlines()[1:] == ["document(d1, primary)."]
+
+    marked_kb = tmp_path / "marked_kb.facts"
+    marked_kb.write_bytes(bom + kb.read_bytes())
+    source = tmp_path / "input.facts"
+    source.write_text(IMPLICIT_LINE, encoding="utf-8")
+    code, out, err = run(capsys, "ingest", "--kb", str(marked_kb), str(source))
+    assert (code, err) == (0, "")
+    merged = marked_kb.read_bytes()
+    assert not merged.startswith(bom)
+    assert merged.decode("utf-8").splitlines()[1:] == [
+        "document(d1, primary).",
+        "document(doc_A, primary).",
+        IMPLICIT_LINE.strip(),
+    ]
+
+
 def test_kb_diagnostics_become_warnings(tmp_path, desk_text, capsys):
     path = tmp_path / "kb.facts"
     path.write_text(desk_text + "mystery(x).\n", encoding="utf-8")

@@ -8,10 +8,11 @@ The corpus is rebuilt from a fixed seed; the file's first line holds its
 SHA-256, so a change to the generator cannot pass for a change in the
 parser.
 
-kb.documents holds only records that kb.document() cannot derive: declared
-non-tertiary records, dangling targets (as primary) and tertiary records
-with a content_ref.  So the loaded corpus and its saved copy hold the same
-records, although the copy lists its lines in another order.
+kb.documents holds exactly the documents that are not annotations:
+declared records and dangling targets (as primary); kb.document() derives
+the tertiary tier of an annotation.  So the loaded corpus and its saved
+copy hold the same records, although the copy lists its lines in another
+order.
 """
 
 import hashlib
@@ -241,7 +242,5 @@ def test_fuzz_corpus_diagnostics_match_golden():
     assert not reloaded.diagnostics
     assert save_facts(reloaded.kb) == saved
     assert reloaded.kb.documents == result.kb.documents
-    assert not [
-        record for record in result.kb.documents.values()
-        if record.tier is DocumentTier.TERTIARY and record.content_ref is None
-    ]
+    assert result.kb.documents.keys().isdisjoint(result.kb.objects)
+    assert all(r.tier is not DocumentTier.TERTIARY for r in result.kb.documents.values())

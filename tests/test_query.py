@@ -213,10 +213,15 @@ def test_format_constrained_leaf():
 
 
 def test_format_uses_french_keywords_and_parens():
-    expr = Or((And((leaf("k", "a"), Not(leaf("k", "b")))), leaf("k", "c")))
+    a, b, c = leaf("k", "a"), leaf("k", "b"), leaf("k", "c")
+    expr = Or((And((a, Not(b))), c))
     assert format_query(expr) == (
-        '(("k", ["a"]) ET NON ("k", ["b"])) OU ("k", ["c"])'
+        '("k", ["a"]) ET NON ("k", ["b"]) OU ("k", ["c"])'
     )
+    # Only the parens that precedence and the tree's shape require.
+    assert format_query(And((Or((a, b)), c))) == '(("k", ["a"]) OU ("k", ["b"])) ET ("k", ["c"])'
+    assert format_query(And((And((a, b)), c))) == '(("k", ["a"]) ET ("k", ["b"])) ET ("k", ["c"])'
+    assert format_query(Or((a, Or((b, c))))) == '("k", ["a"]) OU (("k", ["b"]) OU ("k", ["c"]))'
 
 
 def test_format_wraps_compound_not_operand():
@@ -409,7 +414,14 @@ def test_deepest_parsable_query_evaluates_and_prints():
     kb = random_kb(2, n_objects=100, attributes=["k"], terms=["a", "b", "c", "d"])
     expr = parse_query(_deepest_parsable_text())
     assert evaluate(kb, expr) == sorted(naive_eval(kb, expr))
-    assert format_query(expr).startswith('("k", ["a"]) OU (("k", ["b"]) ET (')
+    assert format_query(expr).startswith('("k", ["a"]) OU ("k", ["b"]) ET (')
+
+
+def test_canonical_text_of_deepest_parsable_query_reparses():
+    text = _deepest_parsable_text()
+    expr = parse_query(text)
+    assert format_query(expr) == text  # no parens beyond the ones it already had
+    assert parse_query(format_query(expr)) == expr
 
 
 def test_trees_nested_past_any_parsed_query_raise_a_typed_error(desk_kb):

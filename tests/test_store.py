@@ -55,7 +55,7 @@ def test_insert_upgrades_dangling_record_to_tertiary():
 
 def test_declared_tier_survives_annotation():
     kb = KnowledgeBase()
-    record = DocumentRecord("doc_B", DocumentTier.SECONDARY, "file:///b")
+    record = DocumentRecord("doc_B", DocumentTier.SECONDARY)
     kb.add_document(record)
     kb.insert(obj("n1", "doc_B", [("a", ["x"])]))
     assert kb.documents["doc_B"] == record
@@ -71,13 +71,14 @@ def test_document_of_annotation_is_derived_not_stored():
     assert kb.document("n1") == DocumentRecord("n1", DocumentTier.TERTIARY)
 
 
-def test_record_declared_before_annotation_keeps_content_ref():
+def test_declared_record_leaves_documents_when_its_id_becomes_an_annotation():
     kb = KnowledgeBase()
-    kb.add_document(DocumentRecord("n1", DocumentTier.SECONDARY, "file:///n1"))
+    kb.add_document(DocumentRecord("n1", DocumentTier.SECONDARY))
     kb.insert(obj("n1", "doc_A", [("a", ["x"])]))
-    expected = DocumentRecord("n1", DocumentTier.TERTIARY, "file:///n1")
-    assert kb.document("n1") == expected
-    assert kb.documents["n1"] == expected  # documents never contradicts document()
+    assert "n1" not in kb.documents  # documents never holds an annotation
+    assert kb.document("n1") == DocumentRecord("n1", DocumentTier.TERTIARY)
+    kb.add_document(DocumentRecord("n1", DocumentTier.TERTIARY))
+    assert kb.documents == {"doc_A": DocumentRecord("doc_A", DocumentTier.PRIMARY)}
 
 
 def test_generated_base_stores_no_record_for_annotations():
@@ -127,19 +128,9 @@ def test_add_document_tier_rules():
     kb.insert(obj("n1", "d", [("a", ["x"])]))
     with pytest.raises(ValueError):
         kb.add_document(DocumentRecord("n1", DocumentTier.PRIMARY))
-    kb.add_document(DocumentRecord("n1", DocumentTier.TERTIARY, "file:///note"))
-    assert kb.document("n1") == DocumentRecord("n1", DocumentTier.TERTIARY, "file:///note")
-
-
-def test_tertiary_record_without_content_ref_is_not_stored():
-    kb = KnowledgeBase()
-    kb.insert(obj("n1", "d", [("a", ["x"])]))
-    kb.add_document(DocumentRecord("n1", DocumentTier.TERTIARY))
-    assert "n1" not in kb.documents
-    kb.add_document(DocumentRecord("n1", DocumentTier.TERTIARY, "file:///note"))
-    assert kb.documents["n1"].content_ref == "file:///note"
-    kb.add_document(DocumentRecord("n1", DocumentTier.TERTIARY))  # drops the held record
-    assert "n1" not in kb.documents
+    before = dict(kb.documents)
+    kb.add_document(DocumentRecord("n1", DocumentTier.TERTIARY))  # document() derives it
+    assert kb.documents == before
     assert kb.document("n1") == DocumentRecord("n1", DocumentTier.TERTIARY)
 
 
