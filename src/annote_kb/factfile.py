@@ -29,6 +29,7 @@ IMPORT_META.
 
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass
 from typing import TypeVar
@@ -48,7 +49,7 @@ from .model import (
     normalize_attribute,
     normalize_term,
 )
-from .quoting import QUOTED, format_values, quote, quote_error, unquote
+from .quoting import QUOTED, format_quoted_value, quote, quote_error, unquote
 from .store import KnowledgeBase
 
 HEADER = "% annote-kb fact base"
@@ -337,9 +338,21 @@ def load_facts(text: str) -> LoadResult:
 
 
 def load_facts_into(kb: KnowledgeBase, text: str) -> LoadResult:
-    """Merge fact text into an existing base (see load_facts)."""
+    """Merge fact text into an existing base (see load_facts).
+
+    Python's cyclic garbage collector is paused while the text loads: the
+    loader makes millions of containers and no cyclic garbage, so its
+    collections would find nothing.  The caller's setting is restored
+    afterwards, also when the load raises.
+    """
     loader = _Loader(kb)
-    loader.run(text)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        loader.run(text)
+    finally:
+        if collecting:
+            gc.enable()
     return LoadResult(kb, tuple(loader.diagnostics), loader.loaded)
 
 
@@ -356,8 +369,9 @@ def save_facts(kb: KnowledgeBase) -> str:
     """Serialize a knowledge base to canonical fact text.
 
     Tertiary documents are the annotations themselves, so only the
-    records in kb.documents are written as document lines.  Raises
-    ValueError if an id cannot be represented.
+    records in kb.documents are written as document lines.  Each distinct
+    attribute and term is quoted once per call.  Raises ValueError if an
+    id cannot be represented.
     """
     lines = [HEADER]
     for doc_id, record in sorted(kb.documents.items()):
@@ -368,12 +382,23 @@ def save_facts(kb: KnowledgeBase) -> str:
             f"annotator({_checked_id(annotator_id)}, "
             f"{quote(profile.name)}, {profile.role.value})."
         )
-    for object_id in sorted(kb.objects):
-        obj = kb.objects[object_id]
+    # Quoted so far in this call; keyed by the str, whose hash is cached.
+    attributes: dict[str | None, str] = {None: "_"}
+    terms: dict[str, str] = {}
+    objects = kb.objects
+    for object_id in sorted(objects):
+        obj = objects[object_id]
+        start = f"annotation({_checked_id(object_id)}, "
+        end = f", {_checked_id(obj.target)})."
         for pair in obj.pairs:
-            attr = "_" if pair.attribute is None else quote(pair.attribute)
-            lines.append(
-                f"annotation({_checked_id(object_id)}, {attr}, "
-                f"{format_values(pair.values)}, {_checked_id(obj.target)})."
-            )
+            attr = attributes.get(pair.attribute)
+            if attr is None:
+                attr = attributes[pair.attribute] = quote(pair.attribute)
+            values = []
+            for value in pair.values:
+                term = terms.get(value.term)
+                if term is None:
+                    term = terms[value.term] = quote(value.term)
+                values.append(format_quoted_value(term, value.rank))
+            lines.append(f"{start}{attr}, [{', '.join(values)}]{end}")
     return "\n".join(lines) + "\n"

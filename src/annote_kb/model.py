@@ -261,11 +261,15 @@ def classify(obj: AnnotationObject) -> Explicitness:
     """
     if not obj.pairs:
         return Explicitness.INVALID
-    if any(p.attribute is None and not p.values for p in obj.pairs):
-        return Explicitness.INVALID
-    if all(is_explicit_pair(p) for p in obj.pairs):
-        return Explicitness.EXPLICIT
-    return Explicitness.IMPLICIT
+    explicit = True
+    for pair in obj.pairs:
+        if pair.attribute is None:
+            if not pair.values:
+                return Explicitness.INVALID
+            explicit = False
+        elif not pair.values:
+            explicit = False
+    return Explicitness.EXPLICIT if explicit else Explicitness.IMPLICIT
 
 
 RawPair = Union[AVPair, tuple]

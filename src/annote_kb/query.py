@@ -81,8 +81,23 @@ class Leaf:
     criterion: Criterion
 
 
-@dataclass(frozen=True, slots=True)
-class And:
+class _Node:
+    """== and hash of ET, OU and NON compare whole trees without recursion,
+    so a tree nested deeper than the interpreter's stack still compares."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or _preorder(self) == _preorder(other)
+
+    def __hash__(self) -> int:
+        return hash(_preorder(self))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class And(_Node):
     children: tuple["QueryExpr", ...]
 
     def __post_init__(self) -> None:
@@ -90,8 +105,8 @@ class And:
             raise ValueError("ET needs at least two operands")
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
+@dataclass(frozen=True, slots=True, eq=False)
+class Or(_Node):
     children: tuple["QueryExpr", ...]
 
     def __post_init__(self) -> None:
@@ -99,12 +114,32 @@ class Or:
             raise ValueError("OU needs at least two operands")
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
+@dataclass(frozen=True, slots=True, eq=False)
+class Not(_Node):
     child: "QueryExpr"
 
 
 QueryExpr = Union[Leaf, And, Or, Not]
+
+
+def _preorder(expr: QueryExpr) -> tuple:
+    """The nodes of expr in pre-order, each ET/OU/NON as its class and
+    operand count and anything else as itself.  The count makes the
+    sequence name exactly one tree, so trees are equal when theirs are."""
+    found: list = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Not):
+            found += (node.__class__, 1)
+            stack.append(node.child)
+        elif isinstance(node, (And, Or)):
+            found += (node.__class__, len(node.children))
+            stack.extend(reversed(node.children))
+        else:
+            found.append(node)
+    return tuple(found)
+
 
 MAX_NESTING = 100  # NON and parenthesis levels allowed in query text
 # A parsed tree nests at most one OU and one ET per parenthesis level, plus

@@ -45,9 +45,12 @@ def quote_error(text: str, start: int) -> tuple[int, str]:
 
 def format_value(value: Value) -> str:
     """Render one value in file syntax: "term" or ("term", rank)."""
-    if value.rank is None:
-        return quote(value.term)
-    return f"({quote(value.term)}, {value.rank})"
+    return format_quoted_value(quote(value.term), value.rank)
+
+
+def format_quoted_value(quoted_term: str, rank: int | None) -> str:
+    """format_value of a value whose term is already quoted."""
+    return quoted_term if rank is None else f"({quoted_term}, {rank})"
 
 
 def format_values(values: tuple[Value, ...]) -> str:

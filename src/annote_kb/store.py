@@ -75,15 +75,28 @@ class KnowledgeBase:
             raise InvalidObjectError(obj.id)
         self._check_acyclic(obj)
 
-        self.objects[obj.id] = obj
+        oid = obj.id
+        self.objects[oid] = obj
+        # Get, then create on a miss: setdefault would build a set per call.
+        postings = self.postings
+        index_by_attribute = self.index_by_attribute
         for pair in obj.pairs:
             attribute = pair.attribute
             if attribute is None:
                 continue
-            self.index_by_attribute.setdefault(attribute, set()).add(obj.id)
+            ids = index_by_attribute.get(attribute)
+            if ids is None:
+                ids = index_by_attribute[attribute] = set()
+            ids.add(oid)
             for value in pair.values:
-                self.postings.setdefault(value.term, {}).setdefault(attribute, set()).add(obj.id)
-        self.index_by_target.setdefault(obj.target, []).append(obj.id)
+                by_attribute = postings.get(value.term)
+                if by_attribute is None:
+                    by_attribute = postings[value.term] = {}
+                ids = by_attribute.get(attribute)
+                if ids is None:
+                    ids = by_attribute[attribute] = set()
+                ids.add(oid)
+        self.index_by_target.setdefault(obj.target, []).append(oid)
 
         # The annotation is now a tertiary document, which document()
         # derives; an unknown target becomes a primary document.

@@ -6,7 +6,11 @@ inference code.  Slow on purpose: the point is independence, so that
 equivalence tests catch indexing or traversal bugs in the engine.
 """
 
+import re
+
 from annote_kb import And, Leaf, Not, Or
+from annote_kb.factfile import HEADER
+from annote_kb.quoting import format_values, quote
 
 
 def pair_covers(pair, attribute, terms) -> bool:
@@ -103,3 +107,29 @@ def naive_attributes_of(kb, target) -> list[str]:
             if pair.attribute is not None and pair.values:
                 found.add(pair.attribute)
     return sorted(found)
+
+
+def _checked_id(some_id: str) -> str:
+    if not re.fullmatch(r"[A-Za-z0-9_]+", some_id):
+        raise ValueError(f"id not representable in a fact file: {some_id!r}")
+    return some_id
+
+
+def naive_save_facts(kb) -> str:
+    """save_facts rendered pair by pair: every attribute and value list
+    quoted afresh, and both ids checked on every annotation line."""
+    lines = [HEADER]
+    for doc_id, record in sorted(kb.documents.items()):
+        lines.append(f"document({_checked_id(doc_id)}, {record.tier.value}).")
+    for annotator_id, profile in sorted(kb.annotators.items()):
+        lines.append(
+            f"annotator({_checked_id(annotator_id)}, {quote(profile.name)}, {profile.role.value})."
+        )
+    for object_id, obj in sorted(kb.objects.items()):
+        for pair in obj.pairs:
+            attr = "_" if pair.attribute is None else quote(pair.attribute)
+            lines.append(
+                f"annotation({_checked_id(object_id)}, {attr}, "
+                f"{format_values(pair.values)}, {_checked_id(obj.target)})."
+            )
+    return "\n".join(lines) + "\n"

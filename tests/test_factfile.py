@@ -1,5 +1,6 @@
 """Fact file grammar: lenient loading with diagnostics, canonical saving."""
 
+import gc
 import random
 
 from hypothesis import given, strategies as st
@@ -21,7 +22,8 @@ from annote_kb import (
 )
 from annote_kb.factfile import HEADER
 from genkb import random_kb
-from oracles import kb_state
+from oracles import kb_state, naive_save_facts
+from test_factfile_golden import fuzz_corpus
 
 import pytest
 
@@ -294,12 +296,83 @@ def test_save_is_fixpoint(desk_text):
 
 
 def test_save_rejects_unrepresentable_id():
-    kb = KnowledgeBase()
     from annote_kb import AnnotationObject
 
-    kb.insert(AnnotationObject("bad id", "d", (make_pair("a", ["x"]),), IMPORT_META))
-    with pytest.raises(ValueError):
-        save_facts(kb)
+    pairs = (make_pair("a", ["x"]), make_pair("b", ["y"]))
+    # The first bad id is reported, as pair-by-pair rendering meets it.  A
+    # target that is no annotation is also a document line, written first.
+    for objects in (
+        [("bad id", "d")],
+        [("z z", "d"), ("a a", "z z")],  # an object id before its target
+        [("y y", "d"), ("z z", "d"), ("n1", "z z")],  # a target before a later id
+        [("n0", "d"), ("n1", "d 1"), ("n2 bad", "d 2")],
+    ):
+        kb = KnowledgeBase()
+        for object_id, target in objects:
+            kb.insert(AnnotationObject(object_id, target, pairs, IMPORT_META))
+        with pytest.raises(ValueError) as expected:
+            naive_save_facts(kb)
+        with pytest.raises(ValueError) as raised:
+            save_facts(kb)
+        assert str(raised.value) == str(expected.value)
+
+
+def test_save_matches_pair_by_pair_rendering(desk_kb):
+    assert save_facts(desk_kb) == naive_save_facts(desk_kb)
+    for seed in range(3):
+        for shuffled in (False, True):
+            kb = random_kb(seed, n_objects=300, shuffled=shuffled)
+            assert save_facts(kb) == naive_save_facts(kb)
+
+
+def test_save_quotes_each_spelling_like_pair_by_pair_rendering():
+    # Memo mix-ups would show on escaped spellings and on a term saved
+    # both bare and ranked.
+    attributes = ['le-"mot"', "barre\\oblique", "x", "a-\\\""]
+    terms = ['le "mot"', "barre \\ oblique", '\\"', "x", "_", "plain"]
+    kb = random_kb(5, n_objects=200, attributes=attributes, terms=terms)
+    values = [v for obj in kb.objects.values() for pair in obj.pairs for v in pair.values]
+    assert {v.term for v in values if v.rank is None} & {v.term for v in values if v.rank is not None}
+    kb.add_annotator(AnnotatorProfile("v1", 'nom "bizarre" \\', AnnotatorRole.AUTRE))
+    assert save_facts(kb) == naive_save_facts(kb)
+    assert kb_state(load_facts(save_facts(kb)).kb) == kb_state(kb)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_load_leaves_the_collector_as_it_found_it(collecting):
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        load_facts('annotation(n1, "a", ["x"], d1).\n')
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_load_restores_the_collector_when_it_raises(monkeypatch):
+    def refuse(self, obj):
+        raise RuntimeError("insert failed")
+
+    monkeypatch.setattr(KnowledgeBase, "insert", refuse)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError):
+        load_facts('annotation(n1, "a", ["x"], d1).\n')
+    assert gc.isenabled()
+
+
+def test_loading_makes_no_cyclic_garbage():
+    # Why pausing the collector during a load loses nothing: no cycle is left.
+    corpus = fuzz_corpus()
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = load_facts(corpus)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+    assert result.loaded > 1000 and result.diagnostics
 
 
 def test_load_facts_into_merges():

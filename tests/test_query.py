@@ -440,6 +440,38 @@ def test_trees_nested_past_any_parsed_query_raise_a_typed_error(desk_kb):
         format_query(expr)
 
 
+def _alternating(depth: int, inner=leaf("k", "a")):
+    for level in range(depth):
+        inner = (And if level % 2 else Or)((leaf("k", "b"), inner))
+    return inner
+
+
+def test_deep_trees_compare_and_hash_without_recursion():
+    # Trees far deeper than the interpreter's stack, built through the API.
+    chain, twin = _not_chain(5000), _not_chain(5000)
+    assert chain is not twin
+    assert chain == twin and hash(chain) == hash(twin)
+    assert chain != _not_chain(4999) and chain != _not_chain(5000, leaf("k", "b"))
+    tree, twin = _alternating(3000), _alternating(3000)
+    assert tree == twin and hash(tree) == hash(twin)
+    assert tree != _alternating(3000, leaf("k", "c"))
+    assert tree != _alternating(2999) and tree != _alternating(3001)
+    assert {chain: 1, tree: 2}[twin] == 2
+
+
+def test_tree_equality_follows_kind_and_shape():
+    a, b = leaf("k", "a"), leaf("k", "b")
+    assert And((a, b)) == And((a, b)) and hash(And((a, b))) == hash(And((a, b)))
+    assert And((a, b)) != Or((a, b))
+    assert And((a, b)) != And((b, a))
+    assert And((a, b, a)) != And((a, b))
+    assert And((And((a, b)), a)) != And((a, And((b, a))))
+    assert Not(And((a, b))) != And((Not(a), b))
+    assert Not(a) != a and Not(a) != Not(b)
+    with pytest.raises(AttributeError):
+        Not(a).child = b  # still frozen
+
+
 def test_evaluate_boolean_laws():
     rng = random.Random(8)
     kb = random_kb(4, n_objects=200)
