@@ -370,8 +370,8 @@ def save_facts(kb: KnowledgeBase) -> str:
 
     Tertiary documents are the annotations themselves, so only the
     records in kb.documents are written as document lines.  Each distinct
-    attribute and term is quoted once per call.  Raises ValueError if an
-    id cannot be represented.
+    attribute and term is quoted, and each distinct target checked, once
+    per call.  Raises ValueError if an id cannot be represented.
     """
     lines = [HEADER]
     for doc_id, record in sorted(kb.documents.items()):
@@ -382,14 +382,18 @@ def save_facts(kb: KnowledgeBase) -> str:
             f"annotator({_checked_id(annotator_id)}, "
             f"{quote(profile.name)}, {profile.role.value})."
         )
-    # Quoted so far in this call; keyed by the str, whose hash is cached.
+    # Quoted or checked so far in this call; keyed by the str, whose hash
+    # is cached.  Targets repeat, so each line end is checked once.
     attributes: dict[str | None, str] = {None: "_"}
     terms: dict[str, str] = {}
+    ends: dict[str, str] = {}
     objects = kb.objects
     for object_id in sorted(objects):
         obj = objects[object_id]
         start = f"annotation({_checked_id(object_id)}, "
-        end = f", {_checked_id(obj.target)})."
+        end = ends.get(obj.target)
+        if end is None:
+            end = ends[obj.target] = f", {_checked_id(obj.target)})."
         for pair in obj.pairs:
             attr = attributes.get(pair.attribute)
             if attr is None:

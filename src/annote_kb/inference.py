@@ -10,8 +10,11 @@ as evidence; rank annotations on values are ignored when matching terms.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .errors import NoCandidatesError, NotImplicitError
 from .model import (
@@ -72,26 +75,63 @@ def infer_attributes(kb: KnowledgeBase, terms: list[str]) -> list[AttributeCandi
     return out
 
 
-def _values_sort_key(values: tuple[Value, ...]) -> tuple:
-    return tuple((v.term, v.rank is not None, v.rank or 0) for v in values)
+def _rank_key(counted: tuple[tuple[Value, ...], int]) -> tuple:
+    values, count = counted
+    full = tuple((v.term, v.rank is not None, v.rank or 0) for v in values)
+    return (-count, values[0].term, full)
 
 
-def infer_values(kb: KnowledgeBase, attribute: str) -> list[ValueCandidate]:
+def _lists_under(kb: KnowledgeBase, attr: AttributeName) -> Iterator[tuple[Value, ...]]:
+    """Each object's distinct non-empty value lists under attr."""
+    objects = kb.objects
+    for oid in kb.index_by_attribute.get(attr, ()):
+        seen = []
+        for pair in objects[oid].pairs:
+            values = pair.values
+            if pair.attribute == attr and values and values not in seen:
+                seen.append(values)
+                yield values
+
+
+def infer_values(
+    kb: KnowledgeBase, attribute: str, *, limit: int | None = None
+) -> list[ValueCandidate]:
     """Distinct value lists stored under attribute, with their evidence.
 
     Lists are compared verbatim (terms, ranks, order); candidates are
     ordered by support count descending, then by first term ascending,
-    with the full list as a final deterministic tie-break.
+    with the full list as a final deterministic tie-break.  With a limit,
+    the result is exactly infer_values(kb, attribute)[:limit]: every list
+    is counted, but only the returned ones are ranked in full and given
+    their support.  Raises ValueError when limit is below 1.
     """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be at least 1")
     attr = normalize_attribute(attribute)
-    groups: dict[tuple[Value, ...], set[str]] = {}
-    for oid in kb.index_by_attribute.get(attr, ()):
-        for pair in kb.objects[oid].pairs:
-            if pair.attribute == attr and pair.values:
-                groups.setdefault(pair.values, set()).add(oid)
-    out = [ValueCandidate(values, tuple(sorted(ids))) for values, ids in groups.items()]
-    out.sort(key=lambda c: (-c.support_count, c.values[0].term, _values_sort_key(c.values)))
-    return out
+    # Value.__hash__ runs in Python and tuples do not cache their hash, so
+    # each list is hashed once here and ids are gathered only for the winners.
+    counts = Counter(_lists_under(kb, attr))
+    if limit is None or len(counts) <= limit:
+        ranked = sorted(counts.items(), key=_rank_key)
+    else:
+        # Only lists counted at least as often as the limit-th one can make
+        # the cut; a generator keeps them from piling up for the collector.
+        floor = heapq.nlargest(limit, counts.values())[-1]
+        contenders = (item for item in counts.items() if item[1] >= floor)
+        ranked = heapq.nsmallest(limit, contenders, key=_rank_key)
+
+    # An object holding a list is in the posting of the list's first term.
+    support: dict[tuple[Value, ...], set[str]] = {values: set() for values, _ in ranked}
+    objects = kb.objects
+    for term in {values[0].term for values in support}:
+        for oid in kb.postings[term][attr]:
+            for pair in objects[oid].pairs:
+                values = pair.values
+                if pair.attribute == attr and values and values[0].term == term:
+                    ids = support.get(values)
+                    if ids is not None:
+                        ids.add(oid)
+    return [ValueCandidate(values, tuple(sorted(support[values]))) for values, _ in ranked]
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,7 +177,7 @@ def explicate(kb: KnowledgeBase, obj: AnnotationObject, cap: int = 16) -> list[E
                 raise NoCandidatesError(index)
             choices.append([(AVPair(c.attribute, pair.values), c.support) for c in found])
         else:
-            found = infer_values(kb, pair.attribute)
+            found = infer_values(kb, pair.attribute, limit=cap)
             if not found:
                 raise NoCandidatesError(index)
             choices.append([(AVPair(pair.attribute, c.values), c.support) for c in found])

@@ -82,10 +82,34 @@ class Leaf:
 
 
 class _Node:
-    """== and hash of ET, OU and NON compare whole trees without recursion,
-    so a tree nested deeper than the interpreter's stack still compares."""
+    """==, hash and repr of ET, OU and NON walk whole trees without
+    recursion, so a tree nested deeper than the interpreter's stack still
+    compares and prints."""
 
     __slots__ = ()
+
+    def __repr__(self) -> str:
+        """The text dataclass would generate, such as
+        Not(child=Leaf(criterion=...)), built with an explicit stack."""
+        out: list[str] = []
+        stack: list[tuple[bool, object]] = [(False, self)]  # (is text, item)
+        while stack:
+            is_text, item = stack.pop()
+            if is_text:
+                out.append(item)
+            elif isinstance(item, Not):
+                out.append(f"{item.__class__.__qualname__}(child=")
+                stack += ((True, ")"), (False, item.child))
+            elif isinstance(item, (And, Or)):
+                out.append(f"{item.__class__.__qualname__}(children=(")
+                stack.append((True, "))"))
+                for i, child in enumerate(reversed(item.children)):
+                    if i:
+                        stack.append((True, ", "))
+                    stack.append((False, child))
+            else:
+                out.append(repr(item))
+        return "".join(out)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -96,7 +120,7 @@ class _Node:
         return hash(_preorder(self))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class And(_Node):
     children: tuple["QueryExpr", ...]
 
@@ -105,7 +129,7 @@ class And(_Node):
             raise ValueError("ET needs at least two operands")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Or(_Node):
     children: tuple["QueryExpr", ...]
 
@@ -114,7 +138,7 @@ class Or(_Node):
             raise ValueError("OU needs at least two operands")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Not(_Node):
     child: "QueryExpr"
 

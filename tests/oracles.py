@@ -7,8 +7,9 @@ equivalence tests catch indexing or traversal bugs in the engine.
 """
 
 import re
+from itertools import islice, product
 
-from annote_kb import And, Leaf, Not, Or
+from annote_kb import And, AVPair, Leaf, Not, Or
 from annote_kb.factfile import HEADER
 from annote_kb.quoting import format_values, quote
 
@@ -68,6 +69,25 @@ def naive_infer_values(kb, attribute) -> list[tuple[tuple, tuple[str, ...]]]:
     ranked = [(values, tuple(sorted(ids))) for values, ids in groups.items()]
     ranked.sort(key=lambda item: (-len(item[1]), item[0][0].term, _values_key(item[0])))
     return ranked
+
+
+def naive_explicate(kb, obj, cap) -> list[tuple[tuple, tuple]]:
+    """(pairs, per-pair support) of the first cap combinations of the full
+    naive candidate lists, so a deficient pair with no evidence gives []."""
+    choices = []
+    for pair in obj.pairs:
+        if pair.attribute is not None and pair.values:
+            choices.append([(pair, ())])
+        elif pair.attribute is None:
+            found = naive_infer_attributes(kb, [v.term for v in pair.values])
+            choices.append([(AVPair(attr, pair.values), ids) for attr, ids in found])
+        else:
+            found = naive_infer_values(kb, pair.attribute)
+            choices.append([(AVPair(pair.attribute, values), ids) for values, ids in found])
+    return [
+        (tuple(pair for pair, _ in combo), tuple(ids for _, ids in combo))
+        for combo in islice(product(*choices), cap)
+    ]
 
 
 def kb_state(kb) -> tuple:

@@ -1,5 +1,6 @@
 """Explicitation: attribute inference, value inference, candidate objects."""
 
+import gc
 import random
 
 import pytest
@@ -17,12 +18,13 @@ from annote_kb import (
     explicate,
     infer_attributes,
     infer_values,
+    load_facts,
     make_pair,
     matches,
     Criterion,
 )
 from genkb import ATTRIBUTES, TERMS, random_kb
-from oracles import naive_infer_attributes, naive_infer_values
+from oracles import naive_explicate, naive_infer_attributes, naive_infer_values
 
 
 def obj(oid, target, pairs) -> AnnotationObject:
@@ -155,6 +157,66 @@ def test_infer_values_skips_deficient_pairs():
     assert [tuple(v.term for v in c.values) for c in found] == [("a",)]
 
 
+def test_infer_values_counts_a_list_held_twice_by_one_object_once():
+    kb = KnowledgeBase()
+    kb.insert(obj("n1", "d", [("k", ["a"]), ("j", ["a"]), ("k", ["a"])]))
+    kb.insert(obj("n2", "d", [("k", ["b"])]))
+    kb.insert(obj("n3", "d", [("k", ["b"])]))
+    found = infer_values(kb, "k")
+    assert [(c.values, c.support) for c in found] == [
+        ((Value("b"),), ("n2", "n3")),
+        ((Value("a"),), ("n1",)),
+    ]
+    assert [(c.values, c.support) for c in found] == naive_infer_values(kb, "k")
+    assert infer_values(kb, "k", limit=1) == found[:1]
+
+
+def test_infer_values_limit_cuts_through_ties():
+    # Eight lists tie at the floor count 2, six of them on first term "a",
+    # differing only in rank or in a later term; one list is above, two below.
+    floor = [
+        ["a"],
+        ["a", "b"],
+        ["a", "c"],
+        [("a", 0)],
+        [("a", 0), "b"],
+        [("a", 1)],
+        ["b"],
+        ["c", "a"],
+    ]
+    held = [["z"]] * 3 + [values for values in floor for _ in range(2)] + [["a", "d"], ["0"]]
+    kb = KnowledgeBase()
+    rng = random.Random(4)
+    rng.shuffle(held)
+    for i, values in enumerate(held):
+        kb.insert(obj(f"n{i:02d}", "d", [("k", values)]))
+    full = infer_values(kb, "k")
+    assert [c.values for c in full] == [make_pair("k", v).values for v in [["z"], *floor, ["0"], ["a", "d"]]]
+    assert [c.support_count for c in full] == [3] + [2] * 8 + [1, 1]
+    assert [(c.values, c.support) for c in full] == naive_infer_values(kb, "k")
+    for k in range(1, len(full) + 2):
+        assert infer_values(kb, "k", limit=k) == full[:k]
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_infer_values_limit_must_be_positive(desk_kb, limit):
+    with pytest.raises(ValueError):
+        infer_values(desk_kb, "souligner", limit=limit)
+
+
+@pytest.mark.parametrize("small", [False, True])
+def test_infer_values_limit_is_a_prefix_on_random_kbs(small):
+    # The small vocabulary makes lists repeat, so counts above 1 tie often.
+    vocabulary = {"attributes": ATTRIBUTES[:3], "terms": TERMS[:4]} if small else {}
+    for seed in range(3):
+        kb = random_kb(seed, n_objects=300, **vocabulary)
+        for attribute in kb.index_by_attribute:
+            full = infer_values(kb, attribute)
+            assert [(c.values, c.support) for c in full] == naive_infer_values(kb, attribute)
+            for k in (1, 2, 3, 16, len(full) + 1):
+                assert infer_values(kb, attribute, limit=k) == full[:k]
+
+
 # ---------------------------------------------------------------- explicate
 
 
@@ -266,3 +328,58 @@ def test_inference_matches_naive_oracle_on_random_kbs():
             attribute = rng.choice(ATTRIBUTES)
             got = [(c.values, c.support) for c in infer_values(kb, attribute)]
             assert got == naive_infer_values(kb, attribute)
+
+
+@pytest.mark.parametrize("small", [False, True])
+def test_explicate_matches_naive_oracle_for_every_cap(small):
+    vocabulary = {"attributes": ATTRIBUTES[:3], "terms": TERMS[:4]} if small else {}
+    attributes = vocabulary.get("attributes", ATTRIBUTES)
+    kb = random_kb(5, n_objects=300, **vocabulary)
+    implicit = [o for o in kb.objects.values() if classify(o) is Explicitness.IMPLICIT]
+    # Two deficient pairs, so the cap cuts across a cartesian product.
+    implicit += [
+        obj("two_lists", "d", [AVPair(attributes[0], ()), AVPair(attributes[1], ())]),
+        obj(
+            "mixed",
+            "d",
+            [AVPair(None, (Value(TERMS[0]),)), ("x", ["y"]), AVPair(attributes[2], ())],
+        ),
+    ]
+    assert len(implicit) > 20
+    for implicit_obj in implicit:
+        expected = naive_explicate(kb, implicit_obj, 20)
+        for cap in range(1, 21):
+            if not expected:
+                with pytest.raises(NoCandidatesError):
+                    explicate(kb, implicit_obj, cap=cap)
+                continue
+            found = explicate(kb, implicit_obj, cap=cap)
+            assert [(ex.object.pairs, ex.support) for ex in found] == expected[:cap]
+
+
+def test_explicate_of_missing_values_leaves_the_collector_idle():
+    # 6,000 distinct lists under "k": ranking them may not allocate per list.
+    text = "".join(
+        f'annotation(n{i}, "k", ["t{i % 97}", "u{i}"], doc{i % 50}).\n' for i in range(6000)
+    )
+    kb = load_facts(text).kb
+    assert len(kb.index_by_attribute["k"]) == 6000
+    implicit = obj("implicit", "doc0", [AVPair("k", ())])
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        found = explicate(kb, implicit)
+    finally:
+        gc.callbacks.remove(count)
+        if not was_enabled:
+            gc.disable()
+    assert len(found) == 16
+    assert len(collections) <= 5, collections

@@ -459,6 +459,35 @@ def test_deep_trees_compare_and_hash_without_recursion():
     assert {chain: 1, tree: 2}[twin] == 2
 
 
+def test_repr_keeps_the_dataclass_text():
+    a, b = leaf("a", "x"), leaf("k", "y", "z")
+    text_a = "Leaf(criterion=Criterion(attribute='a', values=('x',)))"
+    text_b = "Leaf(criterion=Criterion(attribute='k', values=('y', 'z')))"
+    assert repr(Not(a)) == f"Not(child={text_a})"
+    assert repr(And((a, Or((b, Not(a)))))) == (
+        f"And(children=({text_a}, Or(children=({text_b}, Not(child={text_a})))))"
+    )
+    assert repr(Or((a, b, a))) == f"Or(children=({text_a}, {text_b}, {text_a}))"
+
+
+def _printed(expr) -> str | None:
+    # A RecursionError traceback thousands of frames deep takes pytest
+    # minutes to render, so a recursive repr fails as None instead.
+    try:
+        return repr(expr)
+    except RecursionError:
+        return None
+
+
+def test_deep_trees_print_without_recursion():
+    text_a, text_b = repr(leaf("k", "a")), repr(leaf("k", "b"))
+    assert _printed(_not_chain(5000)) == "Not(child=" * 5000 + text_a + ")" * 5000
+    opening = "".join(
+        f"{'And' if level % 2 else 'Or'}(children=({text_b}, " for level in reversed(range(3000))
+    )
+    assert _printed(_alternating(3000)) == opening + text_a + "))" * 3000
+
+
 def test_tree_equality_follows_kind_and_shape():
     a, b = leaf("k", "a"), leaf("k", "b")
     assert And((a, b)) == And((a, b)) and hash(And((a, b))) == hash(And((a, b)))
