@@ -282,7 +282,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "implicit": sum(1 for s in states if s is Explicitness.IMPLICIT),
         "documents": tiers,
         "annotators": len(kb.annotators),
-        "attributes": len(kb.index_by_attribute),
+        "attributes": len(kb.values_by_attribute),
         "terms": len(kb.postings),
     }
     lines = [

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 from .errors import NoCandidatesError, NotImplicitError
 from .model import (
@@ -75,22 +73,10 @@ def infer_attributes(kb: KnowledgeBase, terms: list[str]) -> list[AttributeCandi
     return out
 
 
-def _rank_key(counted: tuple[tuple[Value, ...], int]) -> tuple:
-    values, count = counted
+def _rank_key(item: tuple[tuple[Value, ...], list[str]]) -> tuple:
+    values, ids = item
     full = tuple((v.term, v.rank is not None, v.rank or 0) for v in values)
-    return (-count, values[0].term, full)
-
-
-def _lists_under(kb: KnowledgeBase, attr: AttributeName) -> Iterator[tuple[Value, ...]]:
-    """Each object's distinct non-empty value lists under attr."""
-    objects = kb.objects
-    for oid in kb.index_by_attribute.get(attr, ()):
-        seen = []
-        for pair in objects[oid].pairs:
-            values = pair.values
-            if pair.attribute == attr and values and values not in seen:
-                seen.append(values)
-                yield values
+    return (-len(ids), values[0].term, full)
 
 
 def infer_values(
@@ -101,37 +87,22 @@ def infer_values(
     Lists are compared verbatim (terms, ranks, order); candidates are
     ordered by support count descending, then by first term ascending,
     with the full list as a final deterministic tie-break.  With a limit,
-    the result is exactly infer_values(kb, attribute)[:limit]: every list
-    is counted, but only the returned ones are ranked in full and given
-    their support.  Raises ValueError when limit is below 1.
+    the result is exactly infer_values(kb, attribute)[:limit], and only
+    the returned lists are ranked in full.  Raises ValueError when limit
+    is below 1.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
-    attr = normalize_attribute(attribute)
-    # Value.__hash__ runs in Python and tuples do not cache their hash, so
-    # each list is hashed once here and ids are gathered only for the winners.
-    counts = Counter(_lists_under(kb, attr))
-    if limit is None or len(counts) <= limit:
-        ranked = sorted(counts.items(), key=_rank_key)
+    by_list = kb.values_by_attribute.get(normalize_attribute(attribute), {})
+    if limit is None or len(by_list) <= limit:
+        ranked = sorted(by_list.items(), key=_rank_key)
     else:
-        # Only lists counted at least as often as the limit-th one can make
+        # Only lists held at least as often as the limit-th one can make
         # the cut; a generator keeps them from piling up for the collector.
-        floor = heapq.nlargest(limit, counts.values())[-1]
-        contenders = (item for item in counts.items() if item[1] >= floor)
+        floor = heapq.nlargest(limit, map(len, by_list.values()))[-1]
+        contenders = (item for item in by_list.items() if len(item[1]) >= floor)
         ranked = heapq.nsmallest(limit, contenders, key=_rank_key)
-
-    # An object holding a list is in the posting of the list's first term.
-    support: dict[tuple[Value, ...], set[str]] = {values: set() for values, _ in ranked}
-    objects = kb.objects
-    for term in {values[0].term for values in support}:
-        for oid in kb.postings[term][attr]:
-            for pair in objects[oid].pairs:
-                values = pair.values
-                if pair.attribute == attr and values and values[0].term == term:
-                    ids = support.get(values)
-                    if ids is not None:
-                        ids.add(oid)
-    return [ValueCandidate(values, tuple(sorted(support[values]))) for values, _ in ranked]
+    return [ValueCandidate(values, tuple(sorted(ids))) for values, ids in ranked]
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,13 +2,15 @@
 
 The store keeps three indexes in lockstep with the object map:
 
-    postings             term -> {attribute -> {object id}}
-    index_by_attribute   attribute -> {object id}
-    index_by_target      target id -> [object id, in insertion order]
+    postings              term -> {attribute -> {object id}}
+    values_by_attribute   attribute -> {value list -> [object id, in insertion order]}
+    index_by_target       target id -> [object id, in insertion order]
 
 Pairs without an attribute are not indexed; they carry nothing a query
-could address until the object is explicated.  covering() is the one
-lookup that query evaluation and attribute inference share.
+could address until the object is explicated.  A pair with an attribute
+but no values gives its attribute a key in values_by_attribute and no
+list.  covering() is the one lookup that query evaluation and attribute
+inference share; values_by_attribute is what value inference reads.
 
 Every stored annotation is also a tertiary document, so an annotation can
 itself be annotated.  document() derives that tier, so documents holds
@@ -53,7 +55,7 @@ class KnowledgeBase:
         self.documents: dict[str, DocumentRecord] = {}
         self.annotators: dict[str, AnnotatorProfile] = {}
         self.postings: dict[Term, dict[AttributeName, set[str]]] = {}
-        self.index_by_attribute: dict[AttributeName, set[str]] = {}
+        self.values_by_attribute: dict[AttributeName, dict[tuple[Value, ...], list[str]]] = {}
         self.index_by_target: dict[str, list[str]] = {}
 
     def __len__(self) -> int:
@@ -79,16 +81,24 @@ class KnowledgeBase:
         self.objects[oid] = obj
         # Get, then create on a miss: setdefault would build a set per call.
         postings = self.postings
-        index_by_attribute = self.index_by_attribute
+        values_by_attribute = self.values_by_attribute
         for pair in obj.pairs:
             attribute = pair.attribute
             if attribute is None:
                 continue
-            ids = index_by_attribute.get(attribute)
-            if ids is None:
-                ids = index_by_attribute[attribute] = set()
-            ids.add(oid)
-            for value in pair.values:
+            by_list = values_by_attribute.get(attribute)
+            if by_list is None:
+                by_list = values_by_attribute[attribute] = {}
+            values = pair.values
+            if not values:
+                continue
+            # setdefault hashes the list once (Value hashes in Python) for a
+            # one-id list per pair.  One insert is one object, so a list the
+            # object holds twice already ends with its id.
+            holders = by_list.setdefault(values, [oid])
+            if holders[-1] != oid:
+                holders.append(oid)
+            for value in values:
                 by_attribute = postings.get(value.term)
                 if by_attribute is None:
                     by_attribute = postings[value.term] = {}
@@ -207,6 +217,9 @@ class KnowledgeBase:
             term: {attr: set(ids) for attr, ids in by_attr.items()}
             for term, by_attr in self.postings.items()
         }
-        dup.index_by_attribute = {k: set(v) for k, v in self.index_by_attribute.items()}
+        dup.values_by_attribute = {
+            attr: {values: list(ids) for values, ids in by_list.items()}
+            for attr, by_list in self.values_by_attribute.items()
+        }
         dup.index_by_target = {k: list(v) for k, v in self.index_by_target.items()}
         return dup

@@ -1,8 +1,14 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from annote_kb import load_facts
+
+# CI selects this profile with --hypothesis-profile=ci: the default example
+# counts and deadlines, drawn from a seed fixed per test, so a red CI run
+# replays locally with the same flag and the same examples.
+settings.register_profile("ci", derandomize=True)
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -95,7 +95,10 @@ def kb_state(kb) -> tuple:
 
     Meta does not travel through fact files, so it is left out on purpose.
     Tiers are read through kb.document for every stored document and every
-    annotation, whose tier is derived rather than stored.
+    annotation, whose tier is derived rather than stored.  The id lists of
+    values_by_attribute are kept as tuples, in insertion order, so a base
+    compared with its reloaded copy must have been built in id order, the
+    order save_facts writes.
     """
     objects = tuple(
         (oid, obj.target, obj.pairs) for oid, obj in sorted(kb.objects.items())
@@ -112,7 +115,10 @@ def kb_state(kb) -> tuple:
             term: {attr: frozenset(ids) for attr, ids in by_attr.items()}
             for term, by_attr in kb.postings.items()
         },
-        {k: frozenset(v) for k, v in kb.index_by_attribute.items()},
+        {
+            attr: {values: tuple(ids) for values, ids in by_list.items()}
+            for attr, by_list in kb.values_by_attribute.items()
+        },
         {k: frozenset(v) for k, v in kb.index_by_target.items()},
     )
     return objects, documents, annotators, indexes

@@ -303,6 +303,23 @@ def test_stats_counts_target_turned_annotation_once_as_tertiary(tmp_path, capsys
     assert json.loads(out)["documents"] == {"primary": 1, "secondary": 1, "tertiary": 2}
 
 
+def test_stats_counts_an_attribute_seen_only_without_values(tmp_path, capsys):
+    kb_file = tmp_path / "kb.facts"
+    kb_file.write_text(
+        'annotation(n1, "a", ["x"], doc_A).\n'
+        'annotation(n2, "vide", [], doc_A).\n'  # "vide" holds no value list
+        'annotation(n2, _, ["x"], doc_A).\n',
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, "stats", "--kb", str(kb_file), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["implicit"] == 1
+    assert payload["attributes"] == 2 and payload["terms"] == 1
+    code, out, _ = run(capsys, "stats", "--kb", str(kb_file))
+    assert "attributes: 2" in out.splitlines()
+
+
 # ---------------------------------------------------------------- ingest
 
 

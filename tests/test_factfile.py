@@ -3,14 +3,17 @@
 import gc
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from annote_kb import (
     AnnotatorProfile,
     AnnotatorRole,
+    AnnotationObject,
     AVPair,
     DocumentRecord,
     DocumentTier,
+    EmptyAttributeError,
+    EmptyTermError,
     IMPORT_META,
     KnowledgeBase,
     LineBreakError,
@@ -18,6 +21,8 @@ from annote_kb import (
     load_facts,
     load_facts_into,
     make_pair,
+    normalize_attribute,
+    normalize_term,
     save_facts,
 )
 from annote_kb.factfile import HEADER
@@ -387,8 +392,6 @@ def test_load_facts_into_merges():
 
 def test_escapes_round_trip():
     kb = KnowledgeBase()
-    from annote_kb import AnnotationObject
-
     pair = make_pair('ti\\tre "special"', ['va\\l "x"', ("clef: \\", 2)])
     kb.insert(AnnotationObject("n1", "d1", (pair,), IMPORT_META))
     kb.add_annotator(AnnotatorProfile("a1", 'nom "bizarre" \\', AnnotatorRole.AUTRE))
@@ -441,8 +444,6 @@ def _accepted(make, raw: str, stored: str):
 def _mini_kb(draw):
     """A small base built through the API from drawn spellings, holding
     the terms and the annotator name that the API accepted."""
-    from annote_kb import AnnotationObject, normalize_attribute, normalize_term
-
     kb = KnowledgeBase()
     n = draw(st.integers(min_value=1, max_value=6))
     for i in range(n):
@@ -472,6 +473,52 @@ def _mini_kb(draw):
 
 @given(_mini_kb())
 def test_round_trip_property(kb):
+    text = save_facts(kb)
+    reloaded = load_facts(text)
+    assert not reloaded.diagnostics
+    assert kb_state(reloaded.kb) == kb_state(kb)
+    assert save_facts(reloaded.kb) == text
+
+
+def _kept(make, raw: str):
+    """make(raw), or None when the API refuses the spelling."""
+    try:
+        return make(raw)
+    except (EmptyTermError, EmptyAttributeError, LineBreakError):
+        return None
+
+
+def accepted_spellings(normalize) -> st.SearchStrategy[str]:
+    """normalize over any text, keeping the spellings it accepts."""
+    return st.text().map(lambda raw: _kept(normalize, raw)).filter(bool)
+
+
+_any_value = st.builds(Value, accepted_spellings(normalize_term), st.none() | st.integers())
+_any_pair = st.builds(
+    AVPair,
+    st.none() | accepted_spellings(normalize_attribute),
+    st.lists(_any_value, max_size=3).map(tuple),
+).filter(lambda pair: pair.attribute is not None or pair.values)
+
+
+@st.composite
+def _any_text_kb(draw):
+    """A small base built through the API from any text it accepts as an
+    attribute, a term (ranked or bare) or an annotator name."""
+    kb = KnowledgeBase()
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        pairs = tuple(draw(st.lists(_any_pair, min_size=1, max_size=2)))
+        target = draw(st.sampled_from(["d1", "d2", "d3"]))
+        kb.insert(AnnotationObject(f"n{i}", target, pairs, IMPORT_META))
+    profile = _kept(lambda raw: AnnotatorProfile("v1", raw, AnnotatorRole.AUTRE), draw(st.text()))
+    if profile is not None:
+        kb.add_annotator(profile)
+    return kb
+
+
+@settings(max_examples=300)
+@given(_any_text_kb())
+def test_round_trip_property_over_any_accepted_text(kb):
     text = save_facts(kb)
     reloaded = load_facts(text)
     assert not reloaded.diagnostics

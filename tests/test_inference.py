@@ -210,7 +210,7 @@ def test_infer_values_limit_is_a_prefix_on_random_kbs(small):
     vocabulary = {"attributes": ATTRIBUTES[:3], "terms": TERMS[:4]} if small else {}
     for seed in range(3):
         kb = random_kb(seed, n_objects=300, **vocabulary)
-        for attribute in kb.index_by_attribute:
+        for attribute in kb.values_by_attribute:
             full = infer_values(kb, attribute)
             assert [(c.values, c.support) for c in full] == naive_infer_values(kb, attribute)
             for k in (1, 2, 3, 16, len(full) + 1):
@@ -363,7 +363,7 @@ def test_explicate_of_missing_values_leaves_the_collector_idle():
         f'annotation(n{i}, "k", ["t{i % 97}", "u{i}"], doc{i % 50}).\n' for i in range(6000)
     )
     kb = load_facts(text).kb
-    assert len(kb.index_by_attribute["k"]) == 6000
+    assert len(kb.values_by_attribute["k"]) == 6000
     implicit = obj("implicit", "doc0", [AVPair("k", ())])
     collections = []
 

@@ -25,6 +25,8 @@ from annote_kb import (
     format_query,
     make_pair,
     matches,
+    normalize_attribute,
+    normalize_term,
     parse_query,
     rewrite_constrained,
     search_constrained,
@@ -33,6 +35,7 @@ from annote_kb import (
 from annote_kb.query import MAX_NESTING
 from genkb import ATTRIBUTES, TERMS, random_expr, random_kb
 from oracles import kb_state, naive_eval
+from test_factfile import accepted_spellings
 
 CLASSIC = (
     '("auteur", ["Alain Juillet"]) ET ("mots-clés", ["désinformation"])'
@@ -251,20 +254,39 @@ def _criteria() -> st.SearchStrategy[Criterion]:
     )
 
 
-_EXPRS = st.recursive(
-    st.builds(Leaf, _criteria()),
-    lambda inner: st.one_of(
-        st.builds(Not, inner),
-        st.builds(And, st.lists(inner, min_size=2, max_size=3).map(tuple)),
-        st.builds(Or, st.lists(inner, min_size=2, max_size=3).map(tuple)),
-    ),
-    max_leaves=12,
-)
+def _trees(criteria: st.SearchStrategy[Criterion]) -> st.SearchStrategy:
+    return st.recursive(
+        st.builds(Leaf, criteria),
+        lambda inner: st.one_of(
+            st.builds(Not, inner),
+            st.builds(And, st.lists(inner, min_size=2, max_size=3).map(tuple)),
+            st.builds(Or, st.lists(inner, min_size=2, max_size=3).map(tuple)),
+        ),
+        max_leaves=12,
+    )
+
+
+_EXPRS = _trees(_criteria())
 
 
 @settings(max_examples=300, deadline=None)
 @given(_EXPRS)
 def test_parse_inverts_format(expr):
+    assert parse_query(format_query(expr)) == expr
+
+
+_ANY_EXPRS = _trees(
+    st.builds(
+        Criterion,
+        st.none() | accepted_spellings(normalize_attribute),
+        st.lists(accepted_spellings(normalize_term), min_size=1, max_size=3, unique=True).map(tuple),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_EXPRS)
+def test_parse_inverts_format_over_any_normalized_text(expr):
     assert parse_query(format_query(expr)) == expr
 
 

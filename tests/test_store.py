@@ -33,7 +33,9 @@ def test_insert_updates_all_indexes():
     assert len(kb) == 1
     assert kb.postings["stratégie"] == {"souligner": {"note_91007"}}
     assert kb.postings["développement"] == {"souligner": {"note_91007"}}
-    assert kb.index_by_attribute["souligner"] == {"note_91007"}
+    assert kb.values_by_attribute["souligner"] == {
+        (Value("stratégie"), Value("développement")): ["note_91007"]
+    }
     assert kb.index_by_target["doc_A"] == ["note_91007"]
 
 
@@ -197,12 +199,14 @@ def test_copy_is_independent():
     kb = KnowledgeBase()
     kb.insert(obj("n1", "d", [("a", ["x"])]))
     snapshot = kb.copy()
-    kb.insert(obj("n2", "d", [("a", ["x", "y"])]))
+    kb.insert(obj("n2", "d", [("a", ["x"]), ("a", ["x", "y"])]))
     assert len(snapshot) == 1
     assert "y" not in snapshot.postings
     assert snapshot.postings["x"] == {"a": {"n1"}}
-    assert snapshot.index_by_attribute["a"] == {"n1"}
+    # n2 holds n1's list, so a copy sharing the inner id list would see it.
+    assert snapshot.values_by_attribute == {"a": {(Value("x"),): ["n1"]}}
     assert snapshot.index_by_target["d"] == ["n1"]
+    assert kb.values_by_attribute["a"][(Value("x"),)] == ["n1", "n2"]
 
 
 def test_covering_returns_a_fresh_set():
@@ -219,29 +223,39 @@ def test_covering_returns_a_fresh_set():
 
 
 def test_indexes_match_brute_force_rebuild():
-    kb = random_kb(seed=11, n_objects=300)
-    postings: dict = {}
-    by_attr: dict = {}
-    by_target: dict = {}
-    for oid, o in kb.objects.items():
-        for pair in o.pairs:
-            if pair.attribute is None:
-                continue
-            by_attr.setdefault(pair.attribute, set()).add(oid)
-            for value in pair.values:
-                postings.setdefault(value.term, {}).setdefault(pair.attribute, set()).add(oid)
-        by_target.setdefault(o.target, []).append(oid)
-    assert kb.postings == postings
-    assert kb.index_by_attribute == by_attr
-    assert kb.index_by_target == by_target  # lists: insertion order pinned too
-    # every indexed id refers to a stored object
-    for ids in kb.index_by_attribute.values():
-        assert ids <= kb.objects.keys()
-    for by_attribute in kb.postings.values():
-        for ids in by_attribute.values():
-            assert ids <= kb.objects.keys()
-    for ids in kb.index_by_target.values():
-        assert set(ids) <= kb.objects.keys()
+    for shuffled in (False, True):
+        kb = random_kb(seed=11, n_objects=300, shuffled=shuffled)
+        # An attribute whose only pairs lack values, and one list held twice
+        # by one object.
+        kb.insert(obj("bare", "d", [AVPair("sans-valeurs", ())]))
+        kb.insert(obj("twice", "d", [("attr-00", ["x", "y"]), ("attr-00", ["x", "y"])]))
+        postings: dict = {}
+        by_list: dict = {}
+        by_target: dict = {}
+        for oid, o in kb.objects.items():  # insertion order
+            for pair in o.pairs:
+                if pair.attribute is None:
+                    continue
+                lists = by_list.setdefault(pair.attribute, {})
+                if pair.values and oid not in lists.setdefault(pair.values, []):
+                    lists[pair.values].append(oid)
+                for value in pair.values:
+                    postings.setdefault(value.term, {}).setdefault(pair.attribute, set()).add(oid)
+            by_target.setdefault(o.target, []).append(oid)
+        assert kb.postings == postings
+        assert kb.values_by_attribute == by_list  # lists: insertion order pinned too
+        assert kb.index_by_target == by_target
+        assert kb.values_by_attribute["sans-valeurs"] == {}
+        assert kb.values_by_attribute["attr-00"][(Value("x"), Value("y"))] == ["twice"]
+        # every indexed id refers to a stored object
+        for lists in kb.values_by_attribute.values():
+            for ids in lists.values():
+                assert set(ids) <= kb.objects.keys()
+        for by_attribute in kb.postings.values():
+            for ids in by_attribute.values():
+                assert ids <= kb.objects.keys()
+        for ids in kb.index_by_target.values():
+            assert set(ids) <= kb.objects.keys()
 
 
 def test_attributes_of_matches_naive_scan():
