@@ -25,8 +25,13 @@ class InvalidPairError(AnnoteKBError):
     """An attribute/value pair is missing both its attribute and its values."""
 
 
-class EmptyTargetError(AnnoteKBError):
-    """An annotation was built without a target id."""
+class InvalidIdError(AnnoteKBError):
+    """An id outside model.ID (ASCII letters, digits and underscores),
+    which a fact file could not hold."""
+
+    def __init__(self, some_id: str):
+        super().__init__(f"invalid id: {some_id!r}")
+        self.some_id = some_id
 
 
 class DuplicateIdError(AnnoteKBError):

@@ -7,12 +7,12 @@
 
 where <attribute> is a double-quoted string or `_` (attribute unknown),
 <value> is "term" or ("term", <integer>), `[]` means the values are unknown
-(legal only when the attribute is present), and ids match [A-Za-z0-9_]+.
+(legal only when the attribute is present), and ids match model.ID.
 
 Loading is lenient: every rejected line becomes a Diagnostic and loading
 continues; diagnostics come in line order.  Consecutive annotation lines
-sharing an object id merge into one multi-pair object.  Saving is strict
-and canonical: UTF-8, LF endings, normalized spellings, documents then
+sharing an object id merge into one multi-pair object.  Saving is
+canonical: UTF-8, LF endings, normalized spellings, documents then
 annotators then annotation lines with objects sorted by id and pairs in
 insertion order.  Saving a loaded file is a fixpoint:
 save(load(save(kb))) == save(kb).
@@ -45,6 +45,7 @@ from .model import (
     AVPair,
     DocumentRecord,
     DocumentTier,
+    ID,
     Value,
     normalize_attribute,
     normalize_term,
@@ -64,8 +65,9 @@ IMPORT_META = AnnotationMeta(
 )
 
 # No capture group, so findall returns the tokens themselves.
-_TOKEN = re.compile(QUOTED.pattern + r"|[A-Za-z0-9_]+|-[0-9]+|\S")
-_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+_TOKEN = re.compile(f"{QUOTED.pattern}|{ID.pattern}|-[0-9]+|\\S")
+# The ASCII characters ID accepts: a token starting with one is a whole id.
+_WORD_START = frozenset(filter(ID.fullmatch, map(chr, range(128))))
 E = TypeVar("E", DocumentTier, AnnotatorRole)
 
 
@@ -356,44 +358,27 @@ def load_facts_into(kb: KnowledgeBase, text: str) -> LoadResult:
     return LoadResult(kb, tuple(loader.diagnostics), loader.loaded)
 
 
-_SAVE_IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
-
-
-def _checked_id(some_id: str) -> str:
-    if not _SAVE_IDENT.match(some_id):
-        raise ValueError(f"id not representable in a fact file: {some_id!r}")
-    return some_id
-
-
 def save_facts(kb: KnowledgeBase) -> str:
     """Serialize a knowledge base to canonical fact text.
 
     Tertiary documents are the annotations themselves, so only the
     records in kb.documents are written as document lines.  Each distinct
-    attribute and term is quoted, and each distinct target checked, once
-    per call.  Raises ValueError if an id cannot be represented.
+    attribute and term is quoted once per call.  Ids are written as they
+    are: the model's constructors only accept ids a fact file can hold.
     """
     lines = [HEADER]
     for doc_id, record in sorted(kb.documents.items()):
-        lines.append(f"document({_checked_id(doc_id)}, {record.tier.value}).")
-    for annotator_id in sorted(kb.annotators):
-        profile = kb.annotators[annotator_id]
-        lines.append(
-            f"annotator({_checked_id(annotator_id)}, "
-            f"{quote(profile.name)}, {profile.role.value})."
-        )
-    # Quoted or checked so far in this call; keyed by the str, whose hash
-    # is cached.  Targets repeat, so each line end is checked once.
+        lines.append(f"document({doc_id}, {record.tier.value}).")
+    for annotator_id, profile in sorted(kb.annotators.items()):
+        lines.append(f"annotator({annotator_id}, {quote(profile.name)}, {profile.role.value}).")
+    # Quoted so far in this call; keyed by the str, whose hash is cached.
     attributes: dict[str | None, str] = {None: "_"}
     terms: dict[str, str] = {}
-    ends: dict[str, str] = {}
     objects = kb.objects
     for object_id in sorted(objects):
         obj = objects[object_id]
-        start = f"annotation({_checked_id(object_id)}, "
-        end = ends.get(obj.target)
-        if end is None:
-            end = ends[obj.target] = f", {_checked_id(obj.target)})."
+        start = f"annotation({object_id}, "
+        end = f", {obj.target})."
         for pair in obj.pairs:
             attr = attributes.get(pair.attribute)
             if attr is None:

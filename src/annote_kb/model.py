@@ -10,6 +10,9 @@ information at all, which makes the whole annotation *invalid*.
 All attribute names and value terms are stored in a canonical spelling
 produced by normalize_attribute / normalize_term, so that "Mots-Clés",
 "mots clés" and "mots-clés" denote the same attribute.
+
+Every id follows ID, by which the fact file's tokenizer also reads ids;
+the constructors below refuse any other id with InvalidIdError.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from typing import Iterable, Union
 
 from .errors import (
     EmptyAttributeError,
-    EmptyTargetError,
     EmptyTermError,
+    InvalidIdError,
     InvalidPairError,
     LineBreakError,
 )
@@ -39,6 +42,9 @@ _SEPARATOR_RUN = re.compile(r"[\s-]+")
 # Every character str.splitlines breaks a fact file's lines on.  All of
 # them are whitespace, so attribute names lose them to _SEPARATOR_RUN.
 _LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+ID = re.compile("[A-Za-z0-9_]+")
+_is_id = ID.fullmatch  # bound once: constructors check each id with one call
 
 
 def _check_one_line(text: str, what: str) -> None:
@@ -224,6 +230,10 @@ class AnnotationObject:
     def __post_init__(self) -> None:
         if not isinstance(self.pairs, tuple):
             object.__setattr__(self, "pairs", tuple(self.pairs))
+        if not _is_id(self.id):
+            raise InvalidIdError(self.id)
+        if not _is_id(self.target):
+            raise InvalidIdError(self.target)
         if self.id == self.target:
             raise ValueError(f"annotation {self.id} cannot annotate itself")
 
@@ -236,6 +246,10 @@ class DocumentRecord:
     id: str
     tier: DocumentTier
 
+    def __post_init__(self) -> None:
+        if not _is_id(self.id):
+            raise InvalidIdError(self.id)
+
 
 @dataclass(frozen=True, slots=True)
 class AnnotatorProfile:
@@ -244,9 +258,10 @@ class AnnotatorProfile:
     id: str
     name: str
     role: AnnotatorRole
-    role_detail: str = ""
 
     def __post_init__(self) -> None:
+        if not _is_id(self.id):
+            raise InvalidIdError(self.id)
         _check_one_line(self.name, "annotator name")
 
 
@@ -289,12 +304,10 @@ def build_object(
     and terms are normalized either way.  The returned object carries a
     fresh id unless object_id is given, and meta.action is set to action.
 
-    Raises EmptyTargetError for a blank target and InvalidPairError when
+    Raises InvalidIdError for an id outside ID and InvalidPairError when
     the pair list is empty or some pair has neither attribute nor values:
     build_object never returns an object that classifies as invalid.
     """
-    if not target or not target.strip():
-        raise EmptyTargetError("annotation target must be non-empty")
     built: list[AVPair] = []
     for raw in pairs:
         if isinstance(raw, AVPair):

@@ -498,11 +498,9 @@ def stored_list_rewrite(kb: KnowledgeBase, report: RewriteReport) -> str:
     stored in the base.
     """
     def leaf_text(term: Term, candidate: AttributeCandidate) -> str:
-        for oid in candidate.support:
-            for pair in kb.objects[oid].pairs:
-                if pair.attribute == candidate.attribute and term in pair.terms():
-                    return f"({quote(candidate.attribute)}, {format_values(pair.values)})"
-        return f"({quote(candidate.attribute)}, {format_values(tuple())})"
+        pairs = kb.objects[candidate.support[0]].pairs  # one covers the term
+        pair = next(p for p in pairs if p.attribute == candidate.attribute and term in p.terms())
+        return f"({quote(candidate.attribute)}, {format_values(pair.values)})"
 
     parts: list[str] = []
     for term, found in report.per_term_candidates.items():

@@ -43,15 +43,10 @@ def quote_error(text: str, start: int) -> tuple[int, str]:
     return end, 'one of \\" or \\\\'
 
 
-def format_value(value: Value) -> str:
-    """Render one value in file syntax: "term" or ("term", rank)."""
-    return format_quoted_value(quote(value.term), value.rank)
-
-
 def format_quoted_value(quoted_term: str, rank: int | None) -> str:
-    """format_value of a value whose term is already quoted."""
+    """One value in file syntax, "term" or ("term", rank), from its quoted term."""
     return quoted_term if rank is None else f"({quoted_term}, {rank})"
 
 
 def format_values(values: tuple[Value, ...]) -> str:
-    return "[" + ", ".join(format_value(v) for v in values) + "]"
+    return "[" + ", ".join(format_quoted_value(quote(v.term), v.rank) for v in values) + "]"

@@ -1,11 +1,17 @@
 """Command line behaviour: outputs, exit codes, text/json parity."""
 
+import contextlib
+import io
 import json
 import os
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annote_kb.cli import main
+from test_factfile_golden import DATA, EDGE_LINES
 
 IMPLICIT_LINE = 'annotation(n_imp, _, ["pertinent"], doc_A).\n'
 TWO_HOLE_LINES = (
@@ -107,6 +113,15 @@ def test_explicate_no_candidates(tmp_path, desk_text, capsys):
     code, _, err = run(capsys, "explicate", "--kb", str(path), "n_bad")
     assert code == 4
     assert "no candidates for pair 0 of n_bad" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_explicate_no_value_list_under_the_attribute(tmp_path, desk_text, capsys, fmt):
+    path = tmp_path / "kb.facts"
+    path.write_text(desk_text + 'annotation(n_hole, "jamais vu", [], doc_A).\n')
+    code, out, err = run(capsys, "explicate", "--kb", str(path), "n_hole", "--format", fmt)
+    assert (code, out) == (4, "")
+    assert "no candidates for pair 0 of n_hole" in err
 
 
 def test_explicate_cap_truncates(kb_with_implicit, capsys):
@@ -519,3 +534,92 @@ def test_kb_diagnostics_become_warnings(tmp_path, desk_text, capsys):
     code, _, err = run(capsys, "classify", "--kb", str(path))
     assert code == 0
     assert "warning" in err and "unknown clause" in err
+
+
+# ---------------------------------------------------------------- fuzz
+
+
+DESK_LINES = (DATA / "desk_fixture.facts").read_text(encoding="utf-8").splitlines()
+HOLE_LINES = (IMPLICIT_LINE + TWO_HOLE_LINES).splitlines() + [
+    'annotation(n_hole, "jamais vu", [], doc_A).'
+]
+_fact_lines = st.sampled_from(DESK_LINES + HOLE_LINES + EDGE_LINES) | st.text(max_size=30)
+_fact_bytes = st.one_of(
+    st.lists(_fact_lines, max_size=8).map("\n".join).map(str.encode),
+    st.binary(max_size=80),
+    st.builds(  # the desk fixture with holes, maybe a byte-order mark, maybe more lines
+        lambda bom, more: bom + "\n".join(DESK_LINES + HOLE_LINES + more).encode(),
+        st.sampled_from([b"", b"\xef\xbb\xbf"]),
+        st.lists(_fact_lines, max_size=3),
+    ),
+)
+_ids = st.sampled_from(["note_211", "rev_001", "doc_A", "n_imp", "n_cap", "n_hole"])
+_ids |= st.text(max_size=10)
+_leaves = st.sampled_from(
+    ['("auteur", ["alain juillet"])', '("mots-clés", ["désinformation", "décision"])',
+     '(["pertinent"])', '("k", ["x"])']
+)
+_queries = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.builds(" ".join, st.lists(inner, min_size=2, max_size=3)),  # a syntax error
+        st.builds("{} {} {}".format, inner, st.sampled_from(["ET", "OU", "and"]), inner),
+        inner.map("NON {}".format),
+        inner.map("({})".format),
+    ),
+    max_leaves=5,
+)
+_query_text = _queries | st.text(max_size=30)
+_term = st.sampled_from(["pertinent", "désinformation", "Alain Juillet", "zzz", "-"])
+_terms = st.lists(_term | st.text(max_size=12), min_size=1, max_size=3)
+
+
+@st.composite
+def _cli_call(draw, command):
+    """Options and positionals for one command; positionals follow '--',
+    so that text starting with '-' still reaches the command."""
+    if command == "explicate":
+        return ["--cap", str(draw(st.integers(-1, 20)))], [draw(_ids)]
+    if command == "query":
+        return [], [draw(_query_text)]
+    if command == "find":
+        options = draw(st.sampled_from([[], ["--lenient"], ["--strict"]]))
+        return options + draw(st.sampled_from([[], ["--show-paper-form"]])), draw(_terms)
+    if command == "chain":
+        return [], [draw(_ids)]
+    return [], []
+
+
+COMMANDS = ["ingest", "classify", "explicate", "query", "find", "chain", "export", "stats"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_cli_never_raises_and_exits_with_a_documented_code(command, fmt, data):
+    kb_bytes = data.draw(st.none() | _fact_bytes, label="kb")  # None: no kb file
+    with tempfile.TemporaryDirectory() as tmp:
+        kb = pathlib.Path(tmp, "kb.facts")
+        if kb_bytes is not None:
+            kb.write_bytes(kb_bytes)
+        options, positionals = data.draw(_cli_call(command), label="arguments")
+        if command == "ingest":
+            source = pathlib.Path(tmp, "input.facts")
+            source.write_bytes(data.draw(_fact_bytes, label="input"))
+            positionals = [str(source)]
+        argv = [command, "--kb", str(kb), "--format", fmt, *options]
+        if positionals:
+            argv += ["--", *positionals]
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except (Exception, SystemExit) as exc:
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert code in range(5), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if fmt == "json" and out.getvalue():
+            json.loads(out.getvalue())
+        if command == "ingest" and code == 1:
+            assert (kb.read_bytes() if kb.exists() else None) == kb_bytes

@@ -1,23 +1,30 @@
 """Fact file grammar: lenient loading with diagnostics, canonical saving."""
 
+import contextlib
 import gc
 import random
+import re
 
 from hypothesis import given, settings, strategies as st
 
 from annote_kb import (
+    ActionKind,
     AnnotatorProfile,
     AnnotatorRole,
     AnnotationObject,
     AVPair,
+    CyclicTargetError,
     DocumentRecord,
     DocumentTier,
+    DuplicateIdError,
     EmptyAttributeError,
     EmptyTermError,
     IMPORT_META,
+    InvalidIdError,
     KnowledgeBase,
     LineBreakError,
     Value,
+    build_object,
     load_facts,
     load_facts_into,
     make_pair,
@@ -301,25 +308,22 @@ def test_save_is_fixpoint(desk_text):
 
 
 def test_save_rejects_unrepresentable_id():
-    from annote_kb import AnnotationObject
-
+    # An id a fact file cannot hold is refused where it enters the model,
+    # so save_facts never meets one.
     pairs = (make_pair("a", ["x"]), make_pair("b", ["y"]))
-    # The first bad id is reported, as pair-by-pair rendering meets it.  A
-    # target that is no annotation is also a document line, written first.
-    for objects in (
-        [("bad id", "d")],
-        [("z z", "d"), ("a a", "z z")],  # an object id before its target
-        [("y y", "d"), ("z z", "d"), ("n1", "z z")],  # a target before a later id
-        [("n0", "d"), ("n1", "d 1"), ("n2 bad", "d 2")],
-    ):
-        kb = KnowledgeBase()
-        for object_id, target in objects:
-            kb.insert(AnnotationObject(object_id, target, pairs, IMPORT_META))
-        with pytest.raises(ValueError) as expected:
-            naive_save_facts(kb)
-        with pytest.raises(ValueError) as raised:
-            save_facts(kb)
-        assert str(raised.value) == str(expected.value)
+    raw_pairs = [("a", ["x"])]
+    for bad in ("bad id", "z z", "a a", "y y", "d 1", "n2 bad", "", "n1\n", "a-b", "é"):
+        for make in (
+            lambda: AnnotationObject(bad, "d", pairs, IMPORT_META),
+            lambda: AnnotationObject("n1", bad, pairs, IMPORT_META),
+            lambda: DocumentRecord(bad, DocumentTier.PRIMARY),
+            lambda: AnnotatorProfile(bad, "Anne Dupont", AnnotatorRole.VEILLEUR),
+            lambda: build_object(ActionKind.INDEXER, bad, raw_pairs, IMPORT_META),
+            lambda: build_object(ActionKind.INDEXER, "d", raw_pairs, IMPORT_META, object_id=bad),
+        ):
+            with pytest.raises(InvalidIdError) as refused:
+                make()
+            assert refused.value.some_id == bad
 
 
 def test_save_matches_pair_by_pair_rendering(desk_kb):
@@ -501,18 +505,51 @@ _any_pair = st.builds(
 ).filter(lambda pair: pair.attribute is not None or pair.values)
 
 
+# The id rule, stated apart from model.ID so that a wrong ID shows.
+_ID_RULE = re.compile(r"[A-Za-z0-9_]+")
+_any_id = st.text() | st.from_regex(_ID_RULE, fullmatch=True)
+
+
+def _made(make, *ids):
+    """make(*ids), or None when the API refuses one of the ids as
+    InvalidIdError, which it must do exactly when one breaks the rule."""
+    broken = [some_id for some_id in ids if not _ID_RULE.fullmatch(some_id)]
+    try:
+        made = make(*ids)
+    except InvalidIdError as exc:
+        assert exc.some_id in broken
+        return None
+    assert not broken
+    return made
+
+
 @st.composite
 def _any_text_kb(draw):
     """A small base built through the API from any text it accepts as an
-    attribute, a term (ranked or bare) or an annotator name."""
+    id, an attribute, a term (ranked or bare) or an annotator name."""
     kb = KnowledgeBase()
-    for i in range(draw(st.integers(min_value=1, max_value=4))):
+    for doc_id in draw(st.lists(_any_id, max_size=2)):
+        tier = draw(st.sampled_from([DocumentTier.PRIMARY, DocumentTier.SECONDARY]))
+        record = _made(lambda some_id: DocumentRecord(some_id, tier), doc_id)
+        if record is not None:
+            kb.add_document(record)
+    objects = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
         pairs = tuple(draw(st.lists(_any_pair, min_size=1, max_size=2)))
-        target = draw(st.sampled_from(["d1", "d2", "d3"]))
-        kb.insert(AnnotationObject(f"n{i}", target, pairs, IMPORT_META))
-    profile = _kept(lambda raw: AnnotatorProfile("v1", raw, AnnotatorRole.AUTRE), draw(st.text()))
-    if profile is not None:
-        kb.add_annotator(profile)
+        object_id, target = draw(_any_id), draw(_any_id)
+        if object_id == target:  # an annotation cannot annotate itself
+            continue
+        obj = _made(lambda *ids: AnnotationObject(*ids, pairs, IMPORT_META), object_id, target)
+        if obj is not None:
+            objects.append(obj)
+    for obj in sorted(objects, key=lambda obj: obj.id):  # as kb_state needs, and a load does
+        with contextlib.suppress(DuplicateIdError, CyclicTargetError):
+            kb.insert(obj)
+    annotator_id, name = draw(_any_id), draw(st.text())
+    with contextlib.suppress(LineBreakError):  # a name the API refuses
+        profile = _made(lambda *ids: AnnotatorProfile(*ids, name, AnnotatorRole.AUTRE), annotator_id)
+        if profile is not None:
+            kb.add_annotator(profile)
     return kb
 
 

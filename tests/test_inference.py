@@ -302,6 +302,16 @@ def test_explicate_reports_offending_pair_index(desk_kb):
     assert err.value.pair_index == 1
 
 
+def test_explicate_reports_missing_values_under_an_attribute_with_no_list(desk_kb):
+    desk_kb.insert(obj("n_hole", "doc_A", [("jamais vu", [])]))
+    assert desk_kb.values_by_attribute["jamais-vu"] == {}
+    for attribute in ("jamais vu", "inconnu"):  # held only without values; never seen
+        implicit = obj("n_imp", "doc_A", [("souligner", ["x"]), (attribute, [])])
+        with pytest.raises(NoCandidatesError) as err:
+            explicate(desk_kb, implicit)
+        assert err.value.pair_index == 1
+
+
 def test_explicate_monotone_under_growth():
     kb = KnowledgeBase()
     kb.insert(obj("n1", "d", [("ordonner", ["pertinent"])]))

@@ -15,10 +15,10 @@ from annote_kb import (
     AnnotatorRole,
     AVPair,
     EmptyAttributeError,
-    EmptyTargetError,
     EmptyTermError,
     Explicitness,
     IMPORT_META,
+    InvalidIdError,
     InvalidPairError,
     LineBreakError,
     Value,
@@ -249,8 +249,9 @@ def test_build_object_keeps_implicit_pairs_but_never_invalid():
 
 
 def test_build_object_rejects_empty_target():
-    with pytest.raises(EmptyTargetError):
-        build_object(ActionKind.INDEXER, "  ", [("a", ["x"])], _meta())
+    for target in ("", "  "):
+        with pytest.raises(InvalidIdError):
+            build_object(ActionKind.INDEXER, target, [("a", ["x"])], _meta())
 
 
 def test_build_object_rejects_empty_pair_list():

@@ -202,6 +202,14 @@ def test_criterion_requires_terms():
         Criterion("k", ())
 
 
+@pytest.mark.parametrize("node", [And, Or])
+def test_et_and_ou_need_two_operands(node):
+    for children in ((), (leaf("k", "a"),)):
+        with pytest.raises(ValueError, match="needs at least two operands"):
+            node(children)
+    assert node((leaf("k", "a"), leaf("k", "b"))).children[1] == leaf("k", "b")
+
+
 # ---------------------------------------------------------------- printing
 
 

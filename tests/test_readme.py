@@ -1,7 +1,8 @@
-"""The README's command line walkthrough, replayed command by command.
+"""The README's command line walkthrough, replayed command by command,
+and its library quick start, run as written.
 
-Commands and expected output are read from README.md itself, so the
-walkthrough cannot drift from what the CLI prints.
+Commands, code and expected output are read from README.md itself, so
+neither can drift from what the engine prints.
 """
 
 import pathlib
@@ -13,12 +14,17 @@ from annote_kb.cli import main
 
 ROOT = pathlib.Path(__file__).parent.parent
 SECTION = "## Command line walkthrough"
+QUICK_START = "## Library quick start"
+
+
+def readme_section(heading: str) -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split(heading, 1)[1].split("\n## ", 1)[0]
 
 
 def walkthrough() -> list[tuple[str, str]]:
     """(command, expected stdout) for every `$ ` line of the section's sh blocks."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split(SECTION, 1)[1].split("\n## ", 1)[0]
+    section = readme_section(SECTION)
     steps: list[tuple[str, list[str]]] = []
     for block in re.findall(r"```sh\n(.*?)```", section, re.DOTALL):
         for line in block.splitlines():
@@ -66,3 +72,14 @@ def test_readme_walkthrough_prints_what_it_shows(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for command, expected in steps:
         assert run_step(command, capsys) == expected, command
+
+
+def test_readme_quick_start_prints_what_it_shows(tmp_path, monkeypatch, capsys):
+    (code,) = re.findall(r"```python\n(.*?)```", readme_section(QUICK_START), re.DOTALL)
+    prints = [line for line in code.splitlines() if line.startswith("print(")]
+    shown = [re.fullmatch(r"print\(.*\)\s+# (.*)", line) for line in prints]
+    assert prints and all(shown), "every print line ends with a # result comment"
+    shutil.copy(ROOT / "tests/data/desk_fixture.facts", tmp_path / "kb.facts")
+    monkeypatch.chdir(tmp_path)
+    exec(code, {})
+    assert capsys.readouterr().out.splitlines() == [match[1] for match in shown]
