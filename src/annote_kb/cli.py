@@ -213,8 +213,9 @@ def cmd_query(args: argparse.Namespace) -> int:
         caret = " " * exc.position + "^"
         raise _CliError(f"syntax error: expected {exc.expected}\n  {args.expr}\n  {caret}")
     ids = evaluate(kb, expr)
-    lines = [f"query: {format_query(expr)}", f"{len(ids)} results"] + ids
-    payload = {"command": "query", "query": format_query(expr), "results": ids}
+    shown = format_query(expr)
+    lines = [f"query: {shown}", f"{len(ids)} results"] + ids
+    payload = {"command": "query", "query": shown, "results": ids}
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -232,7 +233,8 @@ def cmd_find(args: argparse.Namespace) -> int:
         ids: list[str] = []
     else:
         ids = evaluate(kb, report.rewritten)
-    lines = [f"rewrite: {format_query(report.rewritten)}"]
+    rewrite = format_query(report.rewritten)
+    lines = [f"rewrite: {rewrite}"]
     stored_form = stored_list_rewrite(kb, report) if args.show_paper_form else None
     if stored_form is not None:
         lines.append(f"stored form: {stored_form}")
@@ -242,7 +244,7 @@ def cmd_find(args: argparse.Namespace) -> int:
     lines += ids
     payload = {
         "command": "find",
-        "rewrite": format_query(report.rewritten),
+        "rewrite": rewrite,
         "unresolved": unresolved,
         "results": ids,
     }

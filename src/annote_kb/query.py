@@ -46,7 +46,6 @@ from .errors import (
     QueryTooDeepError,
     UnresolvedCriterionError,
 )
-from .inference import AttributeCandidate, infer_attributes
 from .model import (
     AnnotationObject,
     AttributeName,
@@ -436,38 +435,36 @@ class RewriteReport:
 
     rewritten: QueryExpr
     unresolved_terms: tuple[Term, ...]
-    per_term_candidates: dict[Term, tuple[AttributeCandidate, ...]]
+    per_term_attributes: dict[Term, tuple[AttributeName, ...]]
 
 
 def rewrite_constrained(kb: KnowledgeBase, terms: list[str]) -> RewriteReport:
     """Rewrite bare terms into an attribute-resolved conjunction.
 
-    Each term becomes a disjunction of (attribute, [term]) criteria over
-    its inferred attribute candidates in rank order (a lone candidate
-    stays a bare criterion); the rewritten query is the conjunction of
-    the resolved terms in input order (a lone term stays bare).  Terms
-    with no candidates are left out and listed in unresolved_terms.
-    Duplicate input terms are processed once.
+    Each term becomes a disjunction of (attribute, [term]) criteria, one
+    per attribute in the term's postings, largest posting first and then
+    by name, as infer_attributes ranks one term (a lone attribute stays
+    bare); the rewritten query is the conjunction of the resolved terms
+    in input order (a lone term stays bare).  Terms under no attribute
+    are left out and listed in unresolved_terms.  Duplicate input terms
+    are processed once.
 
     Raises AllUnresolvedError when not a single term resolves.
     """
     if not terms:
         raise ValueError("at least one term is required")
-    wanted: list[Term] = []
-    for raw in terms:
-        term = normalize_term(raw)
-        if term not in wanted:
-            wanted.append(term)
-    per_term: dict[Term, tuple[AttributeCandidate, ...]] = {}
+    wanted = dict.fromkeys(normalize_term(raw) for raw in terms)
+    per_term: dict[Term, tuple[AttributeName, ...]] = {}
     parts: list[QueryExpr] = []
     unresolved: list[Term] = []
     for term in wanted:
-        found = tuple(infer_attributes(kb, [term]))
-        per_term[term] = found
-        if not found:
+        by_attribute = kb.postings.get(term, {})
+        ranked = tuple(sorted(by_attribute, key=lambda a: (-len(by_attribute[a]), a)))
+        per_term[term] = ranked
+        if not ranked:
             unresolved.append(term)
             continue
-        leaves = [Leaf(Criterion(c.attribute, (term,))) for c in found]
+        leaves = [Leaf(Criterion(attribute, (term,))) for attribute in ranked]
         parts.append(leaves[0] if len(leaves) == 1 else Or(tuple(leaves)))
     if not parts:
         raise AllUnresolvedError(tuple(unresolved))
@@ -490,22 +487,21 @@ def search_constrained(kb: KnowledgeBase, terms: list[str], strict: bool = True)
 
 
 def stored_list_rewrite(kb: KnowledgeBase, report: RewriteReport) -> str:
-    """Render a rewrite with each candidate's full stored value list.
+    """Render a rewrite with each attribute's full stored value list.
 
     Display form only: where the canonical rewrite shows (attribute,
     [term]), this shows the complete value list (ranks included) of the
-    first supporting object's covering pair, the way the evidence is
-    stored in the base.
+    covering pair of the smallest-id object holding the term there, the
+    way the evidence is stored in the base.
     """
-    def leaf_text(term: Term, candidate: AttributeCandidate) -> str:
-        pairs = kb.objects[candidate.support[0]].pairs  # one covers the term
-        pair = next(p for p in pairs if p.attribute == candidate.attribute and term in p.terms())
-        return f"({quote(candidate.attribute)}, {format_values(pair.values)})"
+    def leaf_text(term: Term, attribute: AttributeName) -> str:
+        pairs = kb.objects[min(kb.postings[term][attribute])].pairs  # one covers the term
+        pair = next(p for p in pairs if p.attribute == attribute and term in p.terms())
+        return f"({quote(attribute)}, {format_values(pair.values)})"
 
     parts: list[str] = []
-    for term, found in report.per_term_candidates.items():
-        if not found:
-            continue
-        pieces = [leaf_text(term, c) for c in found]
-        parts.append(pieces[0] if len(pieces) == 1 else "(" + " OU ".join(pieces) + ")")
+    for term, attributes in report.per_term_attributes.items():
+        pieces = [leaf_text(term, attribute) for attribute in attributes]
+        if pieces:  # an unresolved term has none
+            parts.append(pieces[0] if len(pieces) == 1 else "(" + " OU ".join(pieces) + ")")
     return " ET ".join(parts)

@@ -33,8 +33,9 @@ from annote_kb import (
     stored_list_rewrite,
 )
 from annote_kb.query import MAX_NESTING
+from annote_kb.quoting import format_values, quote
 from genkb import ATTRIBUTES, TERMS, random_expr, random_kb
-from oracles import kb_state, naive_eval
+from oracles import kb_state, naive_eval, naive_infer_attributes, pair_covers
 from test_factfile import accepted_spellings
 
 CLASSIC = (
@@ -557,14 +558,11 @@ def test_rewrite_constrained_golden(desk_kb):
         ' ET (("ordonner", ["pertinent"]) OU ("souligner", ["pertinent"]))'
     )
     assert report.unresolved_terms == ()
-    assert list(report.per_term_candidates) == [
-        "désinformation",
-        "protection du patrimoine",
-        "pertinent",
-    ]
-    assert [
-        c.attribute for c in report.per_term_candidates["pertinent"]
-    ] == ["ordonner", "souligner"]
+    assert report.per_term_attributes == {
+        "désinformation": ("mots-clés",),
+        "protection du patrimoine": ("mots-clés",),
+        "pertinent": ("ordonner", "souligner"),
+    }
 
 
 def test_rewrite_single_term_stays_bare(desk_kb):
@@ -576,14 +574,14 @@ def test_rewrite_deduplicates_terms(desk_kb):
     once = rewrite_constrained(desk_kb, ["pertinent"])
     twice = rewrite_constrained(desk_kb, ["pertinent", "  PERTINENT "])
     assert once.rewritten == twice.rewritten
-    assert list(twice.per_term_candidates) == ["pertinent"]
+    assert list(twice.per_term_attributes) == ["pertinent"]
 
 
 def test_rewrite_records_unresolved(desk_kb):
     report = rewrite_constrained(desk_kb, ["zzz", "désinformation"])
     assert report.unresolved_terms == ("zzz",)
     assert report.rewritten == leaf("mots-clés", "désinformation")
-    assert report.per_term_candidates["zzz"] == ()
+    assert report.per_term_attributes["zzz"] == ()
 
 
 def test_rewrite_all_unresolved(desk_kb):
@@ -600,6 +598,46 @@ def test_rewrite_requires_terms(desk_kb):
 def test_rewrite_is_deterministic(desk_kb):
     terms = ["pertinent", "désinformation"]
     assert rewrite_constrained(desk_kb, terms) == rewrite_constrained(desk_kb, terms)
+
+
+def _naive_stored_form(kb, term, ranked) -> str:
+    """One term's stored-list text from naive_infer_attributes' ranking:
+    for each attribute, the first covering pair of its smallest supporting id."""
+    pieces = []
+    for attribute, support in ranked:
+        pair = next(p for p in kb.objects[support[0]].pairs if pair_covers(p, attribute, [term]))
+        pieces.append(f"({quote(attribute)}, {format_values(pair.values)})")
+    return pieces[0] if len(pieces) == 1 else "(" + " OU ".join(pieces) + ")"
+
+
+def _tied_kb() -> KnowledgeBase:
+    """'x' is held twice under "c" and once under each of "b" and "a",
+    which are inserted in the reverse of their name order."""
+    kb = KnowledgeBase()
+    for oid, attribute in [("o3", "b"), ("o1", "c"), ("o2", "a"), ("o0", "c")]:
+        kb.insert(AnnotationObject(oid, "d", (make_pair(attribute, [oid, "x"]),), IMPORT_META))
+    return kb
+
+
+def test_rewrite_ranks_like_the_naive_oracle(desk_kb):
+    cases = [desk_kb, _tied_kb()] + [random_kb(seed, n_objects=300) for seed in range(2)]
+    cases.append(random_kb(2, n_objects=300, shuffled=True))
+    ties = 0
+    for kb in cases:
+        terms = list(kb.postings)
+        report = rewrite_constrained(kb, terms)
+        assert list(report.per_term_attributes) == terms
+        forms = []
+        for term in terms:
+            ranked = naive_infer_attributes(kb, [term])
+            assert report.per_term_attributes[term] == tuple(a for a, _ in ranked)
+            sizes = [len(support) for _, support in ranked]
+            ties += len(sizes) != len(set(sizes))
+            forms.append(_naive_stored_form(kb, term, ranked))
+            assert stored_list_rewrite(kb, rewrite_constrained(kb, [term])) == forms[-1]
+        assert stored_list_rewrite(kb, report) == " ET ".join(forms)
+    assert ties > 0
+    assert rewrite_constrained(_tied_kb(), ["x"]).per_term_attributes == {"x": ("c", "a", "b")}
 
 
 def test_rewritten_query_evaluates(desk_kb):
