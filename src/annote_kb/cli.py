@@ -151,7 +151,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     kb = _read_kb(args.kb).kb
-    states = {oid: classify(obj) for oid, obj in sorted(kb.objects.items())}
+    states = {oid: classify(kb.objects[oid]) for oid in kb.sorted_ids()}
     explicit = sum(1 for s in states.values() if s is Explicitness.EXPLICIT)
     implicit = len(states) - explicit
     lines = [f"{oid}\t{state.value}" for oid, state in states.items()]

@@ -375,7 +375,7 @@ def save_facts(kb: KnowledgeBase) -> str:
     attributes: dict[str | None, str] = {None: "_"}
     terms: dict[str, str] = {}
     objects = kb.objects
-    for object_id in sorted(objects):
+    for object_id in kb.sorted_ids():
         obj = objects[object_id]
         start = f"annotation({object_id}, "
         end = f", {obj.target})."

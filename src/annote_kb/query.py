@@ -17,8 +17,10 @@ A criterion matches an object when one of the object's pairs has the same
 attribute and its value terms (ranks ignored) form a superset of the
 criterion's terms.  NOT complements within the set of stored objects.
 It is evaluated as an exclusion against its sibling operands (ET NON a
-subtracts a's hits), so no set of every stored id is ever built; only a
-query whose result is itself a complement walks the stored ids, once.
+subtracts a's hits), so no set of every stored id is ever built.  A
+query whose result is itself a complement is cut from the store's cached
+sorted_ids(): the runs between the excluded ids, or, when they are a
+large share of the base, a filter over the cached ids.
 format_query prints the canonical form, with only the parentheses that
 precedence and nesting require; it parses back to the same tree:
 parse_query(format_query(e)) == e, as long as that text stays within
@@ -34,7 +36,9 @@ Chains of NON are folded in a loop and may be any length.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Callable, Union
 
 from .errors import (
@@ -416,6 +420,12 @@ def _eval(kb: KnowledgeBase, expr: QueryExpr, depth: int) -> tuple[set[str], boo
     return kept, complemented != is_or
 
 
+# Past this share of the stored ids, a complement is cut by one set lookup
+# per stored id rather than one bisect per excluded id, which costs more
+# (measured with CPython 3.11 at 2k and 20k objects).
+_FILTER_SHARE = 0.05
+
+
 def evaluate(kb: KnowledgeBase, expr: QueryExpr) -> list[str]:
     """Ids of objects satisfying expr, sorted ascending.
 
@@ -424,9 +434,20 @@ def evaluate(kb: KnowledgeBase, expr: QueryExpr) -> list[str]:
     and QueryTooDeepError for a tree nested deeper than any parsed query.
     """
     ids, complemented = _eval(kb, expr, 0)
-    if complemented:
-        return [oid for oid in sorted(kb.objects) if oid not in ids]
-    return sorted(ids)
+    if not complemented:
+        return sorted(ids)
+    every = kb.sorted_ids()
+    if len(ids) > len(every) * _FILTER_SHARE:
+        return list(filterfalse(ids.__contains__, every))
+    # ids holds stored ids only, so each bisect lands on its id, and the
+    # result is the runs of every between those positions.
+    kept: list[str] = []
+    start = 0
+    for cut in sorted(bisect_left(every, oid) for oid in ids):
+        kept += every[start:cut]
+        start = cut + 1
+    kept += every[start:]
+    return kept
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,6 +12,11 @@ but no values gives its attribute a key in values_by_attribute and no
 list.  covering() is the one lookup that query evaluation and attribute
 inference share; values_by_attribute is what value inference reads.
 
+sorted_ids() is derived state, not a fourth index: the stored ids in
+ascending order, built on first use and dropped by insert, the only
+method that adds to objects.  The tuple is never changed in place, so
+copy() shares it.
+
 Every stored annotation is also a tertiary document, so an annotation can
 itself be annotated.  document() derives that tier, so documents holds
 exactly the documents that are not annotations: declared records and
@@ -57,6 +62,7 @@ class KnowledgeBase:
         self.postings: dict[Term, dict[AttributeName, set[str]]] = {}
         self.values_by_attribute: dict[AttributeName, dict[tuple[Value, ...], list[str]]] = {}
         self.index_by_target: dict[str, list[str]] = {}
+        self._sorted_ids: tuple[str, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -79,6 +85,7 @@ class KnowledgeBase:
 
         oid = obj.id
         self.objects[oid] = obj
+        self._sorted_ids = None
         # Get, then create on a miss: setdefault would build a set per call.
         postings = self.postings
         values_by_attribute = self.values_by_attribute
@@ -113,6 +120,12 @@ class KnowledgeBase:
         self.documents.pop(obj.id, None)
         if obj.target not in self.documents and obj.target not in self.objects:
             self.documents[obj.target] = DocumentRecord(obj.target, DocumentTier.PRIMARY)
+
+    def sorted_ids(self) -> tuple[str, ...]:
+        """Ids of the stored objects, ascending; cached until the next insert."""
+        if self._sorted_ids is None:
+            self._sorted_ids = tuple(sorted(self.objects))
+        return self._sorted_ids
 
     def _check_acyclic(self, obj: AnnotationObject) -> None:
         cursor = obj.target
@@ -208,7 +221,7 @@ class KnowledgeBase:
         return chain
 
     def copy(self) -> "KnowledgeBase":
-        """Snapshot for readers; shares the immutable objects only."""
+        """Snapshot for readers; shares only the immutable objects and sorted ids."""
         dup = KnowledgeBase()
         dup.objects = dict(self.objects)
         dup.documents = dict(self.documents)
@@ -222,4 +235,5 @@ class KnowledgeBase:
             for attr, by_list in self.values_by_attribute.items()
         }
         dup.index_by_target = {k: list(v) for k, v in self.index_by_target.items()}
+        dup._sorted_ids = self._sorted_ids
         return dup

@@ -23,6 +23,7 @@ from annote_kb import (
     Value,
     evaluate,
     format_query,
+    load_facts_into,
     make_pair,
     matches,
     normalize_attribute,
@@ -32,6 +33,7 @@ from annote_kb import (
     search_constrained,
     stored_list_rewrite,
 )
+import annote_kb.query as query_module
 from annote_kb.query import MAX_NESTING
 from annote_kb.quoting import format_values, quote
 from genkb import ATTRIBUTES, TERMS, random_expr, random_kb
@@ -429,6 +431,65 @@ def test_evaluate_agrees_with_naive_scan():
     kb = cases[-1][0]
     assert list(kb.objects) != sorted(kb.objects)
     assert all(0 < len(evaluate(kb, x)) < len(kb) for x in (A, B, C))
+
+
+def test_complement_sees_objects_inserted_after_it_was_cut():
+    kb = random_kb(4, n_objects=200, shuffled=True, **DENSE)
+    rest = Not(A)
+    pairs = (make_pair("attr-01", ["terme001"]),)
+    first = evaluate(kb, rest)
+    assert first == sorted(naive_eval(kb, rest))
+    # New ids before, among and after the cached sorted ids.
+    for oid in ("a0", "obj00100b", "zz"):
+        kb.insert(AnnotationObject(oid, "doc", pairs, IMPORT_META))
+    assert not load_facts_into(kb, 'annotation(obj00050b, "attr-01", ["terme001"], doc).').diagnostics
+    second = evaluate(kb, rest)
+    assert second == sorted(naive_eval(kb, rest))
+    assert set(second) - set(first) == {"a0", "obj00050b", "obj00100b", "zz"}
+
+    # A copy shares the cached ids; an insert on either side is its own.
+    snapshot = kb.copy()
+    kb.insert(AnnotationObject("b0", "doc", pairs, IMPORT_META))
+    snapshot.insert(AnnotationObject("c0", "doc", pairs, IMPORT_META))
+    assert evaluate(kb, rest) == sorted(naive_eval(kb, rest)) == sorted(second + ["b0"])
+    assert evaluate(snapshot, rest) == sorted(naive_eval(snapshot, rest)) == sorted(second + ["c0"])
+
+
+def test_complement_cut_at_the_edges_by_either_path(monkeypatch):
+    # Each object also holds its own id as a term, so any id set can be
+    # excluded; objects keep random_kb's shuffled insertion order.
+    base = random_kb(5, n_objects=200, shuffled=True)
+    kb = KnowledgeBase()
+    for o in base.objects.values():
+        kb.insert(AnnotationObject(o.id, o.target, o.pairs + (make_pair("id", [o.id]),), IMPORT_META))
+    every = sorted(kb.objects)
+    assert list(kb.objects) != every
+
+    ran: list[str] = []
+    for name in ("bisect_left", "filterfalse"):
+        def counted(*args, real=getattr(query_module, name), name=name):
+            ran.append(name)
+            return real(*args)
+        monkeypatch.setattr(query_module, name, counted)
+
+    splice, scan = {"bisect_left"}, {"filterfalse"}
+    cases = {
+        "no id": (["absent"], set()),  # the splice with nothing to cut
+        "smallest": ([every[0]], splice),
+        "largest": ([every[-1]], splice),
+        "one in the middle": ([every[100]], splice),
+        "both ends and neighbours": (every[:2] + every[-2:], splice),
+        "a third": (every[::3], scan),
+        "every id": (every, scan),
+    }
+    for name, (excluded, paths) in cases.items():
+        leaves = [leaf("id", oid) for oid in excluded]
+        expr = Not(leaves[0] if len(leaves) == 1 else Or(tuple(leaves)))
+        ran.clear()
+        got = evaluate(kb, expr)
+        assert got == sorted(naive_eval(kb, expr)), name
+        assert got == [oid for oid in every if oid not in excluded], name
+        assert set(ran) == paths, name
 
 
 def test_evaluate_folds_long_not_chains(desk_kb):
