@@ -91,14 +91,6 @@ class QuerySyntaxError(AnnoteKBError):
         self.expected = expected
 
 
-class QueryTooDeepError(AnnoteKBError):
-    """A query tree nests ET/OU deeper than evaluation and printing allow."""
-
-    def __init__(self, limit: int):
-        super().__init__(f"query nests ET/OU more than {limit} levels deep")
-        self.limit = limit
-
-
 class UnresolvedCriterionError(AnnoteKBError):
     """A criterion without an attribute reached evaluation unrewritten."""
 

@@ -6,8 +6,9 @@
     annotator(<id>, "<name>", veilleur|analyste|decideur|autre).
 
 where <attribute> is a double-quoted string or `_` (attribute unknown),
-<value> is "term" or ("term", <integer>), `[]` means the values are unknown
-(legal only when the attribute is present), and ids match model.ID.
+<value> is "term" or ("term", <integer>) with at most 640 digits, `[]`
+means the values are unknown (legal only when the attribute is present),
+and ids match model.ID.
 
 Loading is lenient: every rejected line becomes a Diagnostic and loading
 continues; diagnostics come in line order.  Consecutive annotation lines
@@ -128,6 +129,12 @@ def _quoted(toks: list[str], i: int) -> str:  # the raw token, quotes included
     return tok
 
 
+# int() and str() refuse more digits than sys.get_int_max_str_digits(),
+# which can be set as low as 640, so a rank this long loads and saves
+# under any setting.
+_RANK_DIGITS = 640
+
+
 def _rank(toks: list[str], i: int) -> str:
     tok = toks[i]
     digits = tok[1:] if tok[:1] == "-" else tok
@@ -136,6 +143,8 @@ def _rank(toks: list[str], i: int) -> str:
         raise _LineError(i, "expected integer rank")
     if rest:  # a word such as 12x: the rank ends where the letters start
         raise _LineError(i, "expected ')'", len(tok) - len(rest))
+    if len(digits) > _RANK_DIGITS:
+        raise _LineError(i, f"rank longer than {_RANK_DIGITS} digits")
     return tok
 
 

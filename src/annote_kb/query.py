@@ -23,14 +23,11 @@ sorted_ids(): the runs between the excluded ids, or, when they are a
 large share of the base, a filter over the cached ids.
 format_query prints the canonical form, with only the parentheses that
 precedence and nesting require; it parses back to the same tree:
-parse_query(format_query(e)) == e, as long as that text stays within
-MAX_NESTING levels.
+parse_query(format_query(e)) == e.
 
-Query text may nest NON and parentheses at most MAX_NESTING levels deep;
-deeper text is a QuerySyntaxError.  Trees built through the API may nest
-ET/OU up to 2 * (MAX_NESTING + 1) levels, more than any parsed query
-reaches; past that, evaluate and format_query raise QueryTooDeepError.
-Chains of NON are folded in a loop and may be any length.
+The parser, evaluate and format_query keep the open parentheses or
+ET/OU nodes on an explicit stack, and a chain of NON adds only a count,
+so a query of any depth parses, evaluates and prints.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Callable, Union
+from typing import Union
 
 from .errors import (
     AllUnresolvedError,
@@ -47,7 +44,6 @@ from .errors import (
     EmptyTermError,
     LineBreakError,
     QuerySyntaxError,
-    QueryTooDeepError,
     UnresolvedCriterionError,
 )
 from .model import (
@@ -168,12 +164,6 @@ def _preorder(expr: QueryExpr) -> tuple:
     return tuple(found)
 
 
-MAX_NESTING = 100  # NON and parenthesis levels allowed in query text
-# A parsed tree nests at most one OU and one ET per parenthesis level, plus
-# the pair at the top, so no parsed query reaches this many ET/OU levels.
-_MAX_TREE_DEPTH = 2 * (MAX_NESTING + 1)
-
-
 _KEYWORDS = {"et": "AND", "and": "AND", "ou": "OR", "or": "OR", "non": "NOT", "not": "NOT"}
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET", ",": "COMMA"}
 
@@ -213,7 +203,6 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
-        self.depth = 0  # NON and grouping parentheses currently open
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -225,45 +214,54 @@ class _Parser:
         self.index += 1
         return token
 
-    def parse_expr(self) -> QueryExpr:
-        children = [self.parse_and()]
-        while self.peek().kind == "OR":
-            self.index += 1
-            children.append(self.parse_and())
-        return children[0] if len(children) == 1 else Or(tuple(children))
+    def parse(self) -> QueryExpr:
+        """The whole query, up to the end of the text.
 
-    def parse_and(self) -> QueryExpr:
-        children = [self.parse_unary()]
-        while self.peek().kind == "AND":
+        Each open parenthesis is a frame on an explicit stack, not a call:
+        the OU operands read so far, the ET operands of the OU operand
+        being read, and the count of NON read before the next operand.
+        """
+        frames: list[tuple[list[QueryExpr], list[QueryExpr], int]] = []
+        ors: list[QueryExpr] = []
+        ands: list[QueryExpr] = []
+        nots = 0
+        while True:
+            token = self.peek()
             self.index += 1
-            children.append(self.parse_unary())
-        return children[0] if len(children) == 1 else And(tuple(children))
-
-    def parse_unary(self) -> QueryExpr:
-        token = self.peek()
-        if token.kind == "NOT":
-            self.index += 1
-            return Not(self.nested(token, self.parse_unary))
-        if token.kind != "LPAREN":
-            raise QuerySyntaxError(token.pos, "'(' or NON")
-        self.index += 1
-        # A criterion continues with a string or a bracket; anything else
-        # is a parenthesized sub-expression.
-        if self.peek().kind in ("STRING", "LBRACKET"):
-            expr = Leaf(self.parse_criterion_tail())
-        else:
-            expr = self.nested(token, self.parse_expr)
-        self.take("RPAREN", "')'")
-        return expr
-
-    def nested(self, opener: _Token, parse: Callable[[], QueryExpr]) -> QueryExpr:
-        """Run parse one NON or parenthesis level deeper, within MAX_NESTING."""
-        if self.depth == MAX_NESTING:
-            raise QuerySyntaxError(opener.pos, f"at most {MAX_NESTING} nested NON or parentheses")
-        self.depth += 1
-        expr = parse()
-        self.depth -= 1
-        return expr
+            if token.kind == "NOT":
+                nots += 1
+                continue
+            if token.kind != "LPAREN":
+                raise QuerySyntaxError(token.pos, "'(' or NON")
+            # A criterion continues with a string or a bracket; anything else
+            # is a parenthesized sub-expression.
+            if self.peek().kind not in ("STRING", "LBRACKET"):
+                frames.append((ors, ands, nots))
+                ors, ands, nots = [], [], 0
+                continue
+            expr: QueryExpr = Leaf(self.parse_criterion_tail())
+            self.take("RPAREN", "')'")
+            # expr is a whole operand; each ')' after it closes a frame,
+            # whose group is in turn an operand of the frame below.
+            while True:
+                for _ in range(nots):
+                    expr = Not(expr)
+                ands.append(expr)
+                nots = 0
+                kind = self.peek().kind
+                if kind == "AND":
+                    break
+                ors.append(ands[0] if len(ands) == 1 else And(tuple(ands)))
+                ands = []
+                if kind == "OR":
+                    break
+                expr = ors[0] if len(ors) == 1 else Or(tuple(ors))
+                if not frames:
+                    self.take("EOF", "end of query")
+                    return expr
+                self.take("RPAREN", "')'")
+                ors, ands, nots = frames.pop()
+            self.index += 1  # the ET or OU
 
     def parse_criterion_tail(self) -> Criterion:
         attribute = None
@@ -298,10 +296,7 @@ def parse_query(text: str) -> QueryExpr:
     Raises QuerySyntaxError carrying the 0-based offset of the problem and
     a description of what was expected there.
     """
-    parser = _Parser(_tokenize(text))
-    expr = parser.parse_expr()
-    parser.take("EOF", "end of query")
-    return expr
+    return _Parser(_tokenize(text)).parse()
 
 
 def _criterion_text(criterion: Criterion) -> str:
@@ -311,49 +306,53 @@ def _criterion_text(criterion: Criterion) -> str:
     return f"({quote(criterion.attribute)}, {inner})"
 
 
-def _strip_nots(expr: QueryExpr) -> tuple[QueryExpr, int]:
-    """The first node below a chain of NON, and the length of the chain."""
-    nots = 0
-    while isinstance(expr, Not):
-        nots += 1
-        expr = expr.child
-    return expr, nots
-
-
-def _operands(expr: QueryExpr, depth: int) -> tuple[QueryExpr, ...]:
-    """Children of an ET/OU node with depth ET/OU nodes above it."""
-    if not isinstance(expr, (And, Or)):
-        raise TypeError(f"not a query expression: {expr!r}")
-    if depth == _MAX_TREE_DEPTH:
-        raise QueryTooDeepError(_MAX_TREE_DEPTH)
-    return expr.children
-
-
-def _format(expr: QueryExpr, depth: int) -> str:
-    expr, nots = _strip_nots(expr)
-    if isinstance(expr, Leaf):
-        return "NON " * nots + _criterion_text(expr.criterion)
-    parts = []
-    for child in _operands(expr, depth):
-        text = _format(child, depth + 1)
-        # NON binds tighter than ET, and ET tighter than OU; a node nested
-        # in its own kind keeps its parens so the tree keeps its shape.
-        bare = isinstance(child, (Leaf, Not)) or (isinstance(expr, Or) and isinstance(child, And))
-        parts.append(text if bare else f"({text})")
-    text = (" ET " if isinstance(expr, And) else " OU ").join(parts)
-    if nots:
-        text = f"({text})"
-    return "NON " * nots + text
-
-
 def format_query(expr: QueryExpr) -> str:
-    """Canonical text for a query tree.
+    """Canonical text for a query tree; parse_query inverts it exactly."""
+    # The open ET/OU node: its operands, the index of the next one, whether
+    # it is an OU, its NON count and its operands' texts; the nodes above it
+    # wait on stack.  The query is the one operand of a bottom node, whose
+    # kind is None.
+    stack: list[tuple] = []
+    operands, index, is_or, nots, parts = (expr,), 0, None, 0, []
+    while True:
+        if index < len(operands):
+            expr = operands[index]
+            index += 1
+            expr_nots = 0
+            while isinstance(expr, Not):
+                expr_nots += 1
+                expr = expr.child
+            if not isinstance(expr, Leaf):
+                if not isinstance(expr, (And, Or)):
+                    raise TypeError(f"not a query expression: {expr!r}")
+                stack.append((operands, index, is_or, nots, parts))
+                operands, index, is_or, nots, parts = (
+                    expr.children, 0, isinstance(expr, Or), expr_nots, [])
+                continue
+            text = "NON " * expr_nots + _criterion_text(expr.criterion)
+        else:
+            if not stack:
+                return parts[0]
+            text = (" OU " if is_or else " ET ").join(parts)
+            # NON binds tighter than ET, and ET tighter than OU; a node nested
+            # in its own kind keeps its parens so the tree keeps its shape.
+            parent_is_or = stack[-1][2]
+            if nots:
+                text = "NON " * nots + f"({text})"
+            elif parent_is_or is not None and (is_or or not parent_is_or):
+                text = f"({text})"
+            operands, index, is_or, nots, parts = stack.pop()
+        parts.append(text)
 
-    parse_query inverts it exactly while the text nests at most
-    MAX_NESTING levels.  Raises QueryTooDeepError for a tree nested
-    deeper than any parsed query.
-    """
-    return _format(expr, 0)
+
+def _resolved(criterion: Criterion) -> AttributeName:
+    """The criterion's attribute.  A constrained criterion cannot be
+    matched directly: UnresolvedCriterionError."""
+    if criterion.attribute is None:
+        raise UnresolvedCriterionError(
+            "criterion has no attribute; rewrite it with rewrite_constrained first"
+        )
+    return criterion.attribute
 
 
 def matches(obj: AnnotationObject, criterion: Criterion) -> bool:
@@ -363,48 +362,54 @@ def matches(obj: AnnotationObject, criterion: Criterion) -> bool:
     (ranks ignored) must include every criterion term.  Constrained
     criteria cannot be matched directly: UnresolvedCriterionError.
     """
-    if criterion.attribute is None:
-        raise UnresolvedCriterionError(
-            "criterion has no attribute; rewrite it with rewrite_constrained first"
-        )
-    return covers(obj, criterion.attribute, set(criterion.values))
+    return covers(obj, _resolved(criterion), set(criterion.values))
 
 
-def _leaf_ids(kb: KnowledgeBase, leaf: Leaf) -> set[str]:
-    """Fresh set of the ids a resolved criterion matches."""
-    criterion = leaf.criterion
-    if criterion.attribute is None:
-        raise UnresolvedCriterionError(
-            "criterion has no attribute; rewrite it with rewrite_constrained first"
-        )
-    return kb.covering(criterion.attribute, criterion.values)
-
-
-def _eval(kb: KnowledgeBase, expr: QueryExpr, depth: int) -> tuple[set[str], bool]:
+def _eval(kb: KnowledgeBase, expr: QueryExpr) -> tuple[set[str], bool]:
     """(ids, complemented): the ids, or every stored object except them.
 
     Every returned set is fresh and belongs to the caller (covering()
     copies the postings), so the set algebra below works in place.
     """
-    expr, nots = _strip_nots(expr)
-    complemented = nots % 2 == 1
-    if isinstance(expr, Leaf):
-        return _leaf_ids(kb, expr), complemented
     # ET keeps the intersection of its plain operands minus the union of its
     # complemented ones.  OU is the De Morgan dual, a OU b == NON (NON a ET
     # NON b): plain and complemented operands swap roles, and so does the
-    # result.  Operands are folded in as they come, so each child's set is
+    # result.  Operands are folded in as they come, so each one's set is
     # freed once merged, and every operand is evaluated, so a constrained
-    # leaf anywhere raises.
-    is_or = isinstance(expr, Or)
-    kept: set[str] | None = None
-    dropped: set[str] | None = None
-    for child in _operands(expr, depth):
-        if isinstance(child, Leaf):  # the common case, without a recursive call
-            ids, child_complemented = _leaf_ids(kb, child), False
+    # leaf anywhere raises.  The open ET/OU node is its operands, the index
+    # of the next one, whether it is an OU, whether it is complemented, and
+    # the kept and dropped sets so far; the nodes above it wait on stack.
+    # The query is the one operand of a plain ET at the bottom.
+    stack: list[tuple] = []
+    operands, index, is_or, node_complemented, kept, dropped = (expr,), 0, False, False, None, None
+    while True:
+        if index < len(operands):
+            expr = operands[index]
+            index += 1
+            complemented = False
+            while isinstance(expr, Not):
+                complemented = not complemented
+                expr = expr.child
+            if not isinstance(expr, Leaf):
+                if not isinstance(expr, (And, Or)):
+                    raise TypeError(f"not a query expression: {expr!r}")
+                stack.append((operands, index, is_or, node_complemented, kept, dropped))
+                operands, index, is_or, node_complemented, kept, dropped = (
+                    expr.children, 0, isinstance(expr, Or), complemented, None, None)
+                continue
+            criterion = expr.criterion
+            ids = kb.covering(_resolved(criterion), criterion.values)
         else:
-            ids, child_complemented = _eval(kb, child, depth + 1)
-        if child_complemented == is_or:
+            if kept is None:  # NON a ET NON b == NON (a OU b)
+                ids, complemented = dropped, node_complemented == is_or
+            else:
+                if dropped:
+                    kept = kept - dropped  # walks the smaller side; -= would walk dropped
+                ids, complemented = kept, node_complemented != is_or
+            if not stack:
+                return ids, complemented
+            operands, index, is_or, node_complemented, kept, dropped = stack.pop()
+        if complemented == is_or:
             if kept is None:
                 kept = ids
             else:
@@ -413,11 +418,6 @@ def _eval(kb: KnowledgeBase, expr: QueryExpr, depth: int) -> tuple[set[str], boo
             dropped = ids
         else:
             dropped |= ids
-    if kept is None:  # NON a ET NON b == NON (a OU b)
-        return dropped, complemented == is_or
-    if dropped:
-        kept = kept - dropped  # walks the smaller side; -= would walk dropped
-    return kept, complemented != is_or
 
 
 # Past this share of the stored ids, a complement is cut by one set lookup
@@ -430,10 +430,9 @@ def evaluate(kb: KnowledgeBase, expr: QueryExpr) -> list[str]:
     """Ids of objects satisfying expr, sorted ascending.
 
     NOT is the complement within the stored objects (closed world).
-    Raises UnresolvedCriterionError if a constrained criterion remains,
-    and QueryTooDeepError for a tree nested deeper than any parsed query.
+    Raises UnresolvedCriterionError if a constrained criterion remains.
     """
-    ids, complemented = _eval(kb, expr, 0)
+    ids, complemented = _eval(kb, expr)
     if not complemented:
         return sorted(ids)
     every = kb.sorted_ids()

@@ -179,14 +179,18 @@ def test_query_rejects_constrained_criterion(kb_path, capsys):
     assert "rewrite" in err
 
 
-def test_query_nested_too_deep_is_a_syntax_error(kb_path, capsys):
-    text = "NON " * 1200 + '("k", ["a"])'
-    code, out, err = run(capsys, "query", "--kb", kb_path, text)
-    assert code == 1
-    assert out == ""
-    assert "syntax error: expected at most 100 nested NON or parentheses" in err
-    assert "\n  " + " " * 400 + "^" in err
-    assert "Traceback" not in err
+def test_query_nested_1200_levels_runs(kb_path, capsys):
+    author = '("auteur", ["Alain Juillet"])'
+    code, out, _ = run(capsys, "query", "--kb", kb_path, author, "--format", "json")
+    hits = json.loads(out)["results"]
+    assert code == 0 and 0 < len(hits) < 7
+    every = ["note_008", "note_211", "note_56007", "note_702", "note_71007", "note_91007", "rev_001"]
+    for nots, want in ((1200, hits), (1201, [oid for oid in every if oid not in hits])):
+        code, out, err = run(capsys, "query", "--kb", kb_path, "NON " * nots + author)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "query: " + "NON " * nots + '("auteur", ["alain juillet"])'
+        assert lines[2:] == want
 
 
 def test_terms_with_line_breaks_are_errors_not_tracebacks(kb_path, capsys):
@@ -303,6 +307,19 @@ def test_stats(kb_path, capsys):
     assert payload["terms"] == 16
     code, out, _ = run(capsys, "stats", "--kb", kb_path)
     assert "objects: 7 (7 explicit, 0 implicit)" in out.splitlines()
+
+
+def test_stats_reports_a_5000_digit_rank_as_a_warning(tmp_path, capsys):
+    kb_file = tmp_path / "kb.facts"
+    kb_file.write_text(
+        'annotation(n1, "a", [("x", ' + "1" * 5000 + ')], doc_A).\n'
+        'annotation(n2, "a", ["y"], doc_A).\n',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "stats", "--kb", str(kb_file), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["objects"] == 1
+    assert err == f"warning: {kb_file}: line 1, column 28: rank longer than 640 digits\n"
 
 
 def test_stats_counts_target_turned_annotation_once_as_tertiary(tmp_path, capsys):

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import random
 import re
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -190,6 +191,30 @@ def test_blank_term_diagnostic():
     result = load_facts('annotation(n1, "a", ["  "], d1).\n')
     (diag,) = result.diagnostics
     assert "blank" in diag.reason
+
+
+@pytest.mark.parametrize("int_digits", [0, 640, 4300, 100_000])
+def test_ranks_past_640_digits_are_diagnostics_under_any_int_limit(int_digits):
+    longest = "9" * 640
+    kept = f'annotation(n1, "a", [("x", {longest}), ("y", -{longest})], d1).\n'
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(int_digits)
+    try:
+        result = load_facts(kept)
+        saved = save_facts(result.kb)
+        rejected = []
+        for rank in ("1" + "0" * 640, "-" + "9" * 641, "0" * 5000 + "1", "1" * 5000):
+            line = f'annotation(n1, "a", ["x", ("y", {rank})], d1).\n'
+            (diag,) = load_facts(line).diagnostics
+            rejected.append((diag.column, line.index(rank) + 1, diag.reason))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert not result.diagnostics
+    assert [v.rank for v in result.kb.objects["n1"].pairs[0].values] == [int(longest), -int(longest)]
+    assert saved.endswith(kept)
+    for column, rank_column, reason in rejected:
+        assert column == rank_column
+        assert reason == "rank longer than 640 digits"
 
 
 def test_unknown_clause_diagnostic():

@@ -1,6 +1,7 @@
 """Query language: parsing, printing, matching, evaluation, rewriting."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,6 @@ from annote_kb import (
     Not,
     Or,
     QuerySyntaxError,
-    QueryTooDeepError,
     UnresolvedCriterionError,
     Value,
     evaluate,
@@ -34,7 +34,6 @@ from annote_kb import (
     stored_list_rewrite,
 )
 import annote_kb.query as query_module
-from annote_kb.query import MAX_NESTING
 from annote_kb.quoting import format_values, quote
 from genkb import ATTRIBUTES, TERMS, random_expr, random_kb
 from oracles import kb_state, naive_eval, naive_infer_attributes, pair_covers
@@ -56,6 +55,19 @@ def _not_chain(length: int, expr=leaf("k", "a")):
     for _ in range(length):
         expr = Not(expr)
     return expr
+
+
+def _unless_recursive(call, *args):
+    # A RecursionError traceback thousands of frames deep takes pytest
+    # minutes to render, so a call that recurses fails as None instead.
+    try:
+        return call(*args)
+    except RecursionError:
+        return None
+
+
+def _reparsed(expr):
+    return parse_query(format_query(expr))
 
 
 # ---------------------------------------------------------------- parsing
@@ -179,25 +191,38 @@ def test_bad_escape_reported_at_backslash():
 
 
 @pytest.mark.parametrize(
-    "text, position",
+    "text, expected",
     [
-        ("NON " * 1000 + LEAF_TEXT, 4 * MAX_NESTING),
-        ("(" * 1000 + LEAF_TEXT + ")" * 1000, MAX_NESTING),
-        ("NON (" * 600 + LEAF_TEXT + ")" * 600, 5 * (MAX_NESTING // 2)),
+        ("NON " * 1000 + LEAF_TEXT, _not_chain(1000)),
+        ("(" * 1000 + LEAF_TEXT + ")" * 1000, leaf("k", "a")),
+        ("NON (" * 600 + LEAF_TEXT + ")" * 600, _not_chain(600)),
+        ("NON " * 1001 + LEAF_TEXT, _not_chain(1001)),
     ],
-    ids=["NON", "parentheses", "mixed"],
+    ids=["NON", "parentheses", "mixed", "odd NON"],
 )
-def test_nesting_past_the_cap_is_a_syntax_error(text, position):
-    with pytest.raises(QuerySyntaxError) as err:
-        parse_query(text)
-    assert err.value.position == position
-    assert f"at most {MAX_NESTING} nested" in err.value.expected
+def test_deep_nesting_parses_evaluates_and_round_trips(text, expected):
+    expr = _unless_recursive(parse_query, text)
+    assert expr == expected
+    assert _unless_recursive(_reparsed, expr) == expr
+    kb = random_kb(2, n_objects=100, attributes=["k"], terms=["a", "b", "c", "d"])
+    hits = naive_eval(kb, leaf("k", "a"))
+    assert 0 < len(hits) < len(kb)
+    want = set(kb.objects) - hits if text.count("NON") % 2 else hits
+    assert _unless_recursive(evaluate, kb, expr) == sorted(want)
 
 
 def test_nesting_up_to_the_cap_parses():
-    assert parse_query("NON " * MAX_NESTING + LEAF_TEXT) == _not_chain(MAX_NESTING)
-    text = "(" * MAX_NESTING + LEAF_TEXT + ")" * MAX_NESTING
+    assert parse_query("NON " * 100 + LEAF_TEXT) == _not_chain(100)
+    text = "(" * 100 + LEAF_TEXT + ")" * 100
     assert parse_query(text) == leaf("k", "a")
+
+
+def test_an_operand_that_is_no_query_expression_is_a_type_error(desk_kb):
+    for expr in (And((leaf("k", "a"), None)), Not(Or((Not(leaf("k", "a")), "k")))):
+        with pytest.raises(TypeError, match="not a query expression"):
+            format_query(expr)
+        with pytest.raises(TypeError, match="not a query expression"):
+            evaluate(desk_kb, expr)
 
 
 def test_criterion_requires_terms():
@@ -339,9 +364,9 @@ def test_matches_rejects_constrained_criterion():
 
 
 def _deepest_parsable_text() -> str:
-    """MAX_NESTING parenthesis levels, each holding an OU over an ET."""
+    """100 parenthesis levels, each holding an OU over an ET."""
     text = '("k", ["a"]) OU ("k", ["b"]) ET ("k", ["c"])'
-    for _ in range(MAX_NESTING):
+    for _ in range(100):
         text = f'("k", ["a"]) OU ("k", ["b"]) ET ({text})'
     return text
 
@@ -516,20 +541,21 @@ def test_canonical_text_of_deepest_parsable_query_reparses():
     assert parse_query(format_query(expr)) == expr
 
 
-def test_trees_nested_past_any_parsed_query_raise_a_typed_error(desk_kb):
+def test_trees_of_any_depth_evaluate_and_round_trip():
+    kb = random_kb(2, n_objects=100, attributes=["k"], terms=["a", "b", "c", "d"])
     deepest = parse_query(_deepest_parsable_text())
     for expr in (And((leaf("k", "a"), deepest)), Not(Or((deepest, Not(deepest))))):
-        with pytest.raises(QueryTooDeepError):
-            evaluate(desk_kb, expr)
-        with pytest.raises(QueryTooDeepError):
-            format_query(expr)
-    expr = leaf("k", "a")
+        assert evaluate(kb, expr) == sorted(naive_eval(kb, expr))
+        assert _reparsed(expr) == expr
+    a, b, c = (naive_eval(kb, leaf("k", term)) for term in "abc")
+    expr, want = leaf("k", "a"), a
     for _ in range(5000):
         expr = Or((leaf("k", "b"), And((expr, leaf("k", "c")))))
-    with pytest.raises(QueryTooDeepError):
-        evaluate(desk_kb, expr)
-    with pytest.raises(QueryTooDeepError):
-        format_query(expr)
+        want = b | (want & c)
+    assert _unless_recursive(evaluate, kb, expr) == sorted(want)
+    assert _unless_recursive(_reparsed, expr) == expr
+    for expr in (_alternating(5000), _not_chain(100_000)):
+        assert _unless_recursive(_reparsed, expr) == expr
 
 
 def _alternating(depth: int, inner=leaf("k", "a")):
@@ -562,22 +588,49 @@ def test_repr_keeps_the_dataclass_text():
     assert repr(Or((a, b, a))) == f"Or(children=({text_a}, {text_b}, {text_a}))"
 
 
-def _printed(expr) -> str | None:
-    # A RecursionError traceback thousands of frames deep takes pytest
-    # minutes to render, so a recursive repr fails as None instead.
-    try:
-        return repr(expr)
-    except RecursionError:
-        return None
-
-
 def test_deep_trees_print_without_recursion():
     text_a, text_b = repr(leaf("k", "a")), repr(leaf("k", "b"))
-    assert _printed(_not_chain(5000)) == "Not(child=" * 5000 + text_a + ")" * 5000
+    assert _unless_recursive(repr, _not_chain(5000)) == "Not(child=" * 5000 + text_a + ")" * 5000
     opening = "".join(
         f"{'And' if level % 2 else 'Or'}(children=({text_b}, " for level in reversed(range(3000))
     )
-    assert _printed(_alternating(3000)) == opening + text_a + "))" * 3000
+    assert _unless_recursive(repr, _alternating(3000)) == opening + text_a + "))" * 3000
+
+
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_query_functions_take_no_frame_per_level():
+    # With the recursion limit 100 frames above the caller, a walk that
+    # recurses once per level of a 2,000-level tree fails at once.
+    kb = random_kb(2, n_objects=100, attributes=["k"], terms=["a", "b", "c", "d"])
+    every, b = set(kb.objects), naive_eval(kb, leaf("k", "b"))
+    expr, want = leaf("k", "a"), naive_eval(kb, leaf("k", "a"))
+    for level in range(2000):
+        if level % 3 == 0:
+            expr, want = Not(expr), every - want
+        elif level % 3 == 1:
+            expr, want = And((expr, leaf("k", "b"))), want & b
+        else:
+            expr, want = Or((expr, leaf("k", "b"))), want | b
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        parsed = parse_query(format_query(expr))
+        ids = evaluate(kb, expr)
+        same, same_hash = parsed == expr, hash(parsed) == hash(expr)
+        same_repr = repr(parsed) == repr(expr)
+        with pytest.raises(RecursionError):
+            naive_eval(kb, expr)  # the limit is low enough to catch recursion
+    finally:
+        sys.setrecursionlimit(limit)
+    assert same and same_hash and same_repr
+    assert ids == sorted(want)
 
 
 def test_tree_equality_follows_kind_and_shape():
