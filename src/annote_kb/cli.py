@@ -38,6 +38,7 @@ from .query import (
     format_query,
     parse_query,
     rewrite_constrained,
+    search_constrained,
     stored_list_rewrite,
 )
 from .quoting import format_values
@@ -229,10 +230,7 @@ def cmd_find(args: argparse.Namespace) -> int:
     unresolved = list(report.unresolved_terms)
     if unresolved and not args.strict:
         print("warning: dropping unresolved terms: " + ", ".join(unresolved), file=sys.stderr)
-    if unresolved and args.strict:
-        ids: list[str] = []
-    else:
-        ids = evaluate(kb, report.rewritten)
+    ids = search_constrained(kb, args.terms, strict=args.strict)
     rewrite = format_query(report.rewritten)
     lines = [f"rewrite: {rewrite}"]
     stored_form = stored_list_rewrite(kb, report) if args.show_paper_form else None

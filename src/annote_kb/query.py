@@ -11,7 +11,9 @@ Grammar (keywords case-insensitive, French or English):
 
 STRING is double-quoted with \\" and \\\\ escapes.  A criterion without the
 leading attribute string is *constrained*: it names terms whose attribute
-must be inferred (rewrite_constrained) before evaluation.
+must be inferred (rewrite_constrained) before evaluation.  search_constrained
+answers bare terms from the postings, smallest term first; the tree of
+rewrite_constrained is its display form, on which evaluate gives the same ids.
 
 A criterion matches an object when one of the object's pairs has the same
 attribute and its value terms (ranks ignored) form a superset of the
@@ -458,6 +460,20 @@ class RewriteReport:
     per_term_attributes: dict[Term, tuple[AttributeName, ...]]
 
 
+def _resolve_terms(kb: KnowledgeBase, terms: list[str]) -> tuple[dict, tuple[Term, ...]]:
+    """Each distinct normalized term, in input order, with the store's own
+    {attribute: ids} postings of it ({} for none; never change them), and
+    the unresolved terms.  Raises ValueError for no terms and
+    AllUnresolvedError when not a single term resolves."""
+    if not terms:
+        raise ValueError("at least one term is required")
+    found = {term: kb.postings.get(term, {}) for term in map(normalize_term, terms)}
+    unresolved = tuple(term for term, by_attribute in found.items() if not by_attribute)
+    if len(unresolved) == len(found):
+        raise AllUnresolvedError(unresolved)
+    return found, unresolved
+
+
 def rewrite_constrained(kb: KnowledgeBase, terms: list[str]) -> RewriteReport:
     """Rewrite bare terms into an attribute-resolved conjunction.
 
@@ -471,39 +487,40 @@ def rewrite_constrained(kb: KnowledgeBase, terms: list[str]) -> RewriteReport:
 
     Raises AllUnresolvedError when not a single term resolves.
     """
-    if not terms:
-        raise ValueError("at least one term is required")
-    wanted = dict.fromkeys(normalize_term(raw) for raw in terms)
+    found, unresolved = _resolve_terms(kb, terms)
     per_term: dict[Term, tuple[AttributeName, ...]] = {}
     parts: list[QueryExpr] = []
-    unresolved: list[Term] = []
-    for term in wanted:
-        by_attribute = kb.postings.get(term, {})
+    for term, by_attribute in found.items():
         ranked = tuple(sorted(by_attribute, key=lambda a: (-len(by_attribute[a]), a)))
         per_term[term] = ranked
-        if not ranked:
-            unresolved.append(term)
-            continue
-        leaves = [Leaf(Criterion(attribute, (term,))) for attribute in ranked]
-        parts.append(leaves[0] if len(leaves) == 1 else Or(tuple(leaves)))
-    if not parts:
-        raise AllUnresolvedError(tuple(unresolved))
+        if ranked:
+            leaves = [Leaf(Criterion(attribute, (term,))) for attribute in ranked]
+            parts.append(leaves[0] if len(leaves) == 1 else Or(tuple(leaves)))
     rewritten = parts[0] if len(parts) == 1 else And(tuple(parts))
-    return RewriteReport(rewritten, tuple(unresolved), per_term)
+    return RewriteReport(rewritten, unresolved, per_term)
 
 
 def search_constrained(kb: KnowledgeBase, terms: list[str], strict: bool = True) -> list[str]:
-    """Evaluate a constrained search over bare terms.
+    """Ids of objects holding every bare term under some attribute, sorted.
 
-    In strict mode any unresolved term empties the result; in lenient
-    mode unresolved terms are simply dropped (the report from
-    rewrite_constrained says which).  Raises AllUnresolvedError when no
-    term resolves at all.
+    Answered from the postings, with no query tree: the union of the
+    postings of the term with the fewest ids is filtered through each next
+    term, smallest first, until it is empty; no posting is changed.  Terms
+    are read as in rewrite_constrained, whose tree evaluates to the same
+    ids.  In strict mode any unresolved term empties the result; in lenient
+    mode it is dropped.  Raises AllUnresolvedError when none resolves.
     """
-    report = rewrite_constrained(kb, terms)
-    if strict and report.unresolved_terms:
+    found, unresolved = _resolve_terms(kb, terms)
+    if strict and unresolved:
         return []
-    return evaluate(kb, report.rewritten)
+    by_size = [list(by_attribute.values()) for by_attribute in found.values() if by_attribute]
+    by_size.sort(key=lambda postings: sum(map(len, postings)))
+    ids = set().union(*by_size[0])
+    for postings in by_size[1:]:
+        if not ids:
+            break
+        ids = set().union(*(ids & posting for posting in postings))
+    return sorted(ids)
 
 
 def stored_list_rewrite(kb: KnowledgeBase, report: RewriteReport) -> str:

@@ -1,5 +1,6 @@
 """Query language: parsing, printing, matching, evaluation, rewriting."""
 
+import copy
 import random
 import sys
 
@@ -781,6 +782,99 @@ def test_search_constrained_lenient_drops_unresolved(desk_kb):
 def test_search_constrained_all_unresolved(desk_kb):
     with pytest.raises(AllUnresolvedError):
         search_constrained(desk_kb, ["zzz"], strict=False)
+
+
+def _naive_find(kb, terms) -> list[str] | None:
+    """Lenient constrained search through naive_infer_attributes, built as
+    perfbench's oracle_find builds it; None when no term resolves."""
+    result = None
+    for term in dict.fromkeys(map(normalize_term, terms)):
+        found = naive_infer_attributes(kb, [term])
+        if found:
+            matched = {oid for _, support in found for oid in support}
+            result = matched if result is None else result & matched
+    return None if result is None else sorted(result)
+
+
+def _respelled(rng, term) -> str:
+    return rng.choice([term, term.upper(), f"  {term.title()} ", f"{term}\t"])
+
+
+def _held_terms(obj) -> list[str]:
+    """The terms of obj's explicit pairs, sorted."""
+    return sorted({t for p in obj.pairs if p.attribute for t in p.terms()})
+
+
+def _find_cases(kb, rng) -> list[list[str]]:
+    """Term lists of 1-4 terms from the postings: from one stored object
+    (so results are rarely empty) or anywhere, respelled, some with a
+    duplicate or an unresolved term; plus the term under the most
+    attributes, terms that resolve nowhere, and a list whose filter is
+    empty before its largest term is reached."""
+    totals = {term: sum(map(len, by_attr.values())) for term, by_attr in kb.postings.items()}
+    widest = max(kb.postings, key=lambda t: (len(kb.postings[t]), t))
+    assert len(kb.postings[widest]) >= 5
+    held = [pool for pool in map(_held_terms, kb.objects.values()) if pool]
+    cases = [[widest], [widest.upper(), widest], ["zzz"], ["zzz", " YYY "]]
+    for i in range(60):
+        pool = sorted(kb.postings) if i % 2 else rng.choice(held)
+        terms = [_respelled(rng, t) for t in rng.sample(pool, min(len(pool), rng.randint(1, 4)))]
+        if i % 3 == 0:
+            terms.append(_respelled(rng, rng.choice(terms)))
+        if i % 5 == 0:
+            terms.insert(rng.randrange(len(terms) + 1), "zzz unresolved")
+        if i % 7 == 0:
+            terms.append(widest)
+        cases.append(terms)
+    largest = max(totals, key=totals.get)
+    small = sorted(totals, key=lambda t: (totals[t], t))
+    unions = {t: set().union(*kb.postings[t].values()) for t in small[:50]}
+    a, b = next((a, b) for a in unions for b in unions if a < b and not unions[a] & unions[b])
+    assert max(totals[a], totals[b]) < totals[largest]
+    cases.append([largest, a, b])
+    return cases
+
+
+def test_search_constrained_agrees_with_its_rewrite_and_the_naive_oracle():
+    rng = random.Random(16)
+    bases = [random_kb(0), random_kb(1), random_kb(2, shuffled=True)]
+    checked = {"empty": 0, "nonempty": 0, "unresolved": 0, "none resolve": 0}
+    for kb in bases:
+        for terms in _find_cases(kb, rng):
+            naive = _naive_find(kb, terms)
+            if naive is None:
+                checked["none resolve"] += 1
+                for strict in (True, False):
+                    with pytest.raises(AllUnresolvedError):
+                        search_constrained(kb, terms, strict=strict)
+                with pytest.raises(AllUnresolvedError):
+                    rewrite_constrained(kb, terms)
+                continue
+            lenient = search_constrained(kb, terms, strict=False)
+            assert lenient == evaluate(kb, rewrite_constrained(kb, terms).rewritten) == naive
+            unresolved = any(not naive_infer_attributes(kb, [normalize_term(t)]) for t in terms)
+            checked["unresolved"] += unresolved
+            checked["empty" if not naive else "nonempty"] += 1
+            assert search_constrained(kb, terms, strict=True) == ([] if unresolved else lenient)
+    assert all(count >= 3 for count in checked.values()), checked
+
+
+def test_search_constrained_leaves_the_postings_unchanged(desk_kb):
+    for kb in (desk_kb, random_kb(0, n_objects=300)):
+        snapshot = copy.deepcopy(kb.postings)
+        terms = sorted(kb.postings)
+        assert 0 < sum(len(kb.postings[t]) == 1 for t in terms) < len(terms)
+        largest = max(terms, key=lambda t: sum(map(len, kb.postings[t].values())))
+        found = 0
+        for strict in (True, False):
+            for term in terms:  # under one attribute, a term's union is its posting
+                found += len(search_constrained(kb, [term], strict=strict))
+                found += len(search_constrained(kb, [term, largest, "zzz"], strict=strict))
+            for together in filter(None, map(_held_terms, kb.objects.values())):
+                found += len(search_constrained(kb, together, strict=strict))
+                found += len(search_constrained(kb, together[:2], strict=strict))
+        assert found
+        assert kb.postings == snapshot
 
 
 # ---------------------------------------------------------------- stored-list view
