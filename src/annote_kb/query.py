@@ -27,6 +27,12 @@ format_query prints the canonical form, with only the parentheses that
 precedence and nesting require; it parses back to the same tree:
 parse_query(format_query(e)) == e.
 
+Query text is split into strings by one findall, as fact lines are, and
+the parser reads that list by index up to an empty end sentinel, checking
+each token before it reads the next.  Offsets are found only for a refused
+query, and a stray quote or word anywhere in it is reported before the
+parser's complaint.
+
 The parser, evaluate and format_query keep the open parentheses or
 ET/OU nodes on an explicit stack, and a chain of NON adds only a count,
 so a query of any depth parses, evaluates and prints.
@@ -167,129 +173,107 @@ def _preorder(expr: QueryExpr) -> tuple:
 
 
 _KEYWORDS = {"et": "AND", "and": "AND", "ou": "OR", "or": "OR", "non": "NOT", "not": "NOT"}
-_PUNCT = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET", ",": "COMMA"}
-
-
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
 
 # A well-formed string, punctuation, a word, or a '"' that opens no
-# well-formed string; whitespace between tokens is skipped.
+# well-formed string; whitespace between tokens is skipped.  No capture
+# group, so findall returns the tokens themselves.
 _TOKEN = re.compile(QUOTED.pattern + r'|[()\[\],]|[^\s()\[\],"]+|"')
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for match in _TOKEN.finditer(text):
-        tok, pos = match.group(), match.start()
-        if tok in _PUNCT:
-            tokens.append(_Token(_PUNCT[tok], tok, pos))
-        elif tok[0] == '"':
-            if len(tok) == 1:
-                raise QuerySyntaxError(*quote_error(text, pos))
-            tokens.append(_Token("STRING", unquote(tok), pos))
-        else:
-            kind = _KEYWORDS.get(tok.casefold())
-            if kind is None:
-                raise QuerySyntaxError(pos, f"ET/OU/NON keyword, got {tok!r}")
-            tokens.append(_Token(kind, tok, pos))
-    tokens.append(_Token("EOF", "", len(text)))
-    return tokens
+class _Refused(Exception):
+    """Args: the index of the refused token and what was expected there."""
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.index = 0
+def _is_string(tok: str) -> bool:
+    return tok[:1] == '"' and len(tok) > 1
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
 
-    def take(self, kind: str, expected: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise QuerySyntaxError(token.pos, expected)
-        self.index += 1
-        return token
+def _criterion(toks: list[str], i: int) -> tuple[Leaf, int]:
+    """The leaf of the criterion after the '(' at toks[i - 1], and the index
+    past its ')'."""
+    attribute = None
+    if toks[i] != "[":  # the attribute string
+        try:
+            attribute = normalize_attribute(unquote(toks[i]))
+        except EmptyAttributeError:
+            raise _Refused(i, "a non-blank attribute")
+        if toks[i + 1] != ",":
+            raise _Refused(i + 1, "','")
+        i += 2
+        if toks[i] != "[":
+            raise _Refused(i, "'['")
+    terms: list[Term] = []
+    while True:
+        i += 1
+        if not _is_string(toks[i]):
+            raise _Refused(i, "a quoted term")
+        try:
+            terms.append(normalize_term(unquote(toks[i])))
+        except EmptyTermError:
+            raise _Refused(i, "a non-blank term")
+        except LineBreakError:
+            raise _Refused(i, "a term without line breaks")
+        i += 1
+        if toks[i] != ",":
+            break
+    if toks[i] != "]":
+        raise _Refused(i, "']'")
+    if toks[i + 1] != ")":
+        raise _Refused(i + 1, "')'")
+    return Leaf(Criterion(attribute, tuple(terms))), i + 2
 
-    def parse(self) -> QueryExpr:
-        """The whole query, up to the end of the text.
 
-        Each open parenthesis is a frame on an explicit stack, not a call:
-        the OU operands read so far, the ET operands of the OU operand
-        being read, and the count of NON read before the next operand.
-        """
-        frames: list[tuple[list[QueryExpr], list[QueryExpr], int]] = []
-        ors: list[QueryExpr] = []
-        ands: list[QueryExpr] = []
-        nots = 0
+def _parse(toks: list[str]) -> QueryExpr:
+    """The whole query, up to the sentinel.
+
+    Each open parenthesis is a frame on an explicit stack, not a call:
+    the OU operands read so far, the ET operands of the OU operand being
+    read, and the count of NON read before the next operand.
+    """
+    frames: list[tuple[list[QueryExpr], list[QueryExpr], int]] = []
+    ors: list[QueryExpr] = []
+    ands: list[QueryExpr] = []
+    nots = 0
+    i = 0
+    while True:
+        if toks[i] != "(":
+            if _KEYWORDS.get(toks[i].casefold()) != "NOT":
+                raise _Refused(i, "'(' or NON")
+            nots += 1
+            i += 1
+            continue
+        i += 1
+        # A criterion continues with a string or a bracket; anything else
+        # is a parenthesized sub-expression.
+        if toks[i] != "[" and not _is_string(toks[i]):
+            frames.append((ors, ands, nots))
+            ors, ands, nots = [], [], 0
+            continue
+        expr, i = _criterion(toks, i)
+        # expr is a whole operand; each ')' after it closes a frame, whose
+        # group is in turn an operand of the frame below.
         while True:
-            token = self.peek()
-            self.index += 1
-            if token.kind == "NOT":
-                nots += 1
-                continue
-            if token.kind != "LPAREN":
-                raise QuerySyntaxError(token.pos, "'(' or NON")
-            # A criterion continues with a string or a bracket; anything else
-            # is a parenthesized sub-expression.
-            if self.peek().kind not in ("STRING", "LBRACKET"):
-                frames.append((ors, ands, nots))
-                ors, ands, nots = [], [], 0
-                continue
-            expr: QueryExpr = Leaf(self.parse_criterion_tail())
-            self.take("RPAREN", "')'")
-            # expr is a whole operand; each ')' after it closes a frame,
-            # whose group is in turn an operand of the frame below.
-            while True:
-                for _ in range(nots):
-                    expr = Not(expr)
-                ands.append(expr)
-                nots = 0
-                kind = self.peek().kind
-                if kind == "AND":
-                    break
-                ors.append(ands[0] if len(ands) == 1 else And(tuple(ands)))
-                ands = []
-                if kind == "OR":
-                    break
-                expr = ors[0] if len(ors) == 1 else Or(tuple(ors))
-                if not frames:
-                    self.take("EOF", "end of query")
-                    return expr
-                self.take("RPAREN", "')'")
-                ors, ands, nots = frames.pop()
-            self.index += 1  # the ET or OU
-
-    def parse_criterion_tail(self) -> Criterion:
-        attribute = None
-        token = self.peek()
-        if token.kind == "STRING":
-            self.index += 1
-            try:
-                attribute = normalize_attribute(token.text)
-            except EmptyAttributeError:
-                raise QuerySyntaxError(token.pos, "a non-blank attribute")
-            self.take("COMMA", "','")
-        self.take("LBRACKET", "'['")
-        terms: list[Term] = []
-        while True:
-            token = self.take("STRING", "a quoted term")
-            try:
-                terms.append(normalize_term(token.text))
-            except EmptyTermError:
-                raise QuerySyntaxError(token.pos, "a non-blank term")
-            except LineBreakError:
-                raise QuerySyntaxError(token.pos, "a term without line breaks")
-            if self.peek().kind != "COMMA":
+            for _ in range(nots):
+                expr = Not(expr)
+            ands.append(expr)
+            nots = 0
+            kind = _KEYWORDS.get(toks[i].casefold())
+            if kind == "AND":
                 break
-            self.index += 1
-        self.take("RBRACKET", "']'")
-        return Criterion(attribute, tuple(terms))
+            ors.append(ands[0] if len(ands) == 1 else And(tuple(ands)))
+            ands = []
+            if kind == "OR":
+                break
+            expr = ors[0] if len(ors) == 1 else Or(tuple(ors))
+            if not frames:
+                if toks[i]:
+                    raise _Refused(i, "end of query")
+                return expr
+            if toks[i] != ")":
+                raise _Refused(i, "')'")
+            i += 1
+            ors, ands, nots = frames.pop()
+        i += 1  # the ET or OU
 
 
 def parse_query(text: str) -> QueryExpr:
@@ -298,7 +282,22 @@ def parse_query(text: str) -> QueryExpr:
     Raises QuerySyntaxError carrying the 0-based offset of the problem and
     a description of what was expected there.
     """
-    return _Parser(_tokenize(text)).parse()
+    toks = _TOKEN.findall(text)
+    toks.append("")  # the sentinel marking the end of the query
+    try:
+        return _parse(toks)
+    except _Refused as refused:
+        index, expected = refused.args
+    # A stray quote or word anywhere comes before the parser's complaint.
+    starts = []
+    for match in _TOKEN.finditer(text):
+        tok, pos = match.group(), match.start()
+        if tok == '"':
+            raise QuerySyntaxError(*quote_error(text, pos))
+        if tok[0] not in '()[],"' and tok.casefold() not in _KEYWORDS:
+            raise QuerySyntaxError(pos, f"ET/OU/NON keyword, got {tok!r}")
+        starts.append(pos)
+    raise QuerySyntaxError(starts[index] if index < len(starts) else len(text), expected)
 
 
 def _criterion_text(criterion: Criterion) -> str:

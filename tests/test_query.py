@@ -2,6 +2,7 @@
 
 import copy
 import random
+import re
 import sys
 
 import pytest
@@ -163,6 +164,14 @@ def test_parse_escaped_strings():
         ('("k",\xa0["a"]\xa0', 12, "')'"),
         ('("k"\u3000["a"])', 5, "','"),
         ('("k", ["a"]) ÉT ("k", ["b"])', 13, "keyword, got 'ÉT'"),
+        # A stray quote or word anywhere is reported before the parser's
+        # complaint, even one earlier in the text.
+        (') ("k", ["a"]) foo', 15, "keyword, got 'foo'"),
+        ('("k", ["a"]) ET ) "', 18, "closing quote"),
+        ('("  ", ["a"]) ET xyz', 17, "keyword, got 'xyz'"),
+        # The end of the query is refused at the end of the text.
+        ('("k", ["a"]) ET   ', 18, "'(' or NON"),
+        ("NON NON", 7, "'(' or NON"),
     ],
 )
 def test_syntax_errors_carry_position(text, position, expected_part):
@@ -325,6 +334,39 @@ _ANY_EXPRS = _trees(
 @given(_ANY_EXPRS)
 def test_parse_inverts_format_over_any_normalized_text(expr):
     assert parse_query(format_query(expr)) == expr
+
+
+# A token of printed query text: a quoted string, punctuation or a word.
+_QUERY_TOKEN = re.compile(r'"(?:\\.|[^"\\])*"|[()\[\],]|[^\s()\[\],"]+')
+_INSERTED = st.sampled_from(["(", ")", "[", "]", ",", '"', "ET", "OU", "NON", "mot"])
+
+
+@st.composite
+def _mutated_queries(draw) -> str:
+    """The printed text of a tree with tokens deleted, duplicated or inserted."""
+    toks = _QUERY_TOKEN.findall(format_query(draw(_ANY_EXPRS)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(toks)))
+        action = draw(st.sampled_from(["delete", "duplicate", "insert"]))
+        if action == "insert" or at == len(toks):
+            toks.insert(at, draw(_INSERTED))
+        elif action == "delete":
+            del toks[at]
+        else:
+            toks.insert(at, toks[at])
+    return draw(st.sampled_from([" ", ""])).join(toks)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text() | _mutated_queries())
+def test_any_text_parses_to_a_tree_or_a_positioned_syntax_error(text):
+    try:
+        expr = parse_query(text)
+    except QuerySyntaxError as err:
+        assert 0 <= err.position <= len(text)
+        assert str(err) == f"at position {err.position}: expected {err.expected}"
+    else:
+        assert parse_query(format_query(expr)) == expr
 
 
 # ---------------------------------------------------------------- matching
