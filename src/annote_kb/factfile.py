@@ -24,6 +24,13 @@ any other single non-space character, so a string left open or badly
 escaped is a lone '"' token.  A recursive descent then reads the tokens
 by index.  Columns are worked out only for rejected lines.
 
+The loader is one pass.  Lines stream out of a generator that deals with
+comments, documents, annotators and rejected lines where they occur and
+yields only annotation lines holding a storable pair; itertools.groupby
+then gathers consecutive lines with one object id into an object, so a
+line the generator swallows does not end a group.  Documents are declared
+last, once every object is known, and the diagnostics sorted by line.
+
 The format carries no annotation provenance; loaded objects all share
 IMPORT_META.
 """
@@ -33,7 +40,9 @@ from __future__ import annotations
 import gc
 import re
 from dataclasses import dataclass
-from typing import TypeVar
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterator, TypeVar
 
 from .errors import AnnoteKBError, EmptyAttributeError, EmptyTermError
 from .model import (
@@ -48,6 +57,7 @@ from .model import (
     DocumentTier,
     ID,
     Value,
+    _RANK_DIGITS,
     normalize_attribute,
     normalize_term,
 )
@@ -129,12 +139,6 @@ def _quoted(toks: list[str], i: int) -> str:  # the raw token, quotes included
     return tok
 
 
-# int() and str() refuse more digits than sys.get_int_max_str_digits(),
-# which can be set as low as 640, so a rank this long loads and saves
-# under any setting.
-_RANK_DIGITS = 640
-
-
 def _rank(toks: list[str], i: int) -> str:
     tok = toks[i]
     digits = tok[1:] if tok[:1] == "-" else tok
@@ -184,159 +188,65 @@ def _annotator(toks: list[str]) -> AnnotatorProfile:
     return AnnotatorProfile(annotator_id, name, role)
 
 
-class _Loader:
-    """Merges one fact text into a knowledge base, collecting diagnostics."""
-
-    def __init__(self, kb: KnowledgeBase):
-        self.kb = kb
-        self.diagnostics: list[Diagnostic] = []
-        self.loaded = 0
-        # Normalized so far in this load, by raw token (and raw rank token).
-        self.attributes: dict[str, str] = {}
-        self.values: dict[tuple[str, str | None], Value] = {}
-        # Pending group of consecutive annotation lines sharing an id.
-        self.group_id: str | None = None
-        self.group_target: str | None = None
-        self.group_pairs: list[AVPair] = []
-        self.group_lines: list[int] = []
-        # Document lines are declared once all objects are known, as an
-        # annotation further down may take a declared id.
-        self.documents: list[tuple[int, str, DocumentTier]] = []
-
-    def reject(self, lineno: int, column: int, reason: str) -> None:
-        self.diagnostics.append(Diagnostic(lineno, column, reason))
-
-    def attribute(self, toks: list[str], i: int) -> str | None:
-        tok = toks[i]
-        if tok == "_":
-            return None
-        if tok[:1] == "_":  # _x: the attribute is the '_', and a ',' is missing
-            raise _LineError(i, "expected ','", 1)
-        name = self.attributes.get(tok)
-        if name is None:
-            try:
-                name = normalize_attribute(unquote(_quoted(toks, i)))
-            except EmptyAttributeError:
-                raise _LineError(i, "attribute must not be blank")
-            self.attributes[tok] = name
-        return name
-
-    def value(self, toks: list[str], i: int) -> tuple[Value, int]:
-        """The value starting at token i, and the index just past it."""
-        if toks[i] == "(":
-            term = _quoted(toks, i + 1)
-            _expect(toks, i + 2, ",")
-            rank = _rank(toks, i + 3)
-            _expect(toks, i + 4, ")")
-            end = i + 5
-        else:
-            term, rank, end = _quoted(toks, i), None, i + 1
-        value = self.values.get((term, rank))
-        if value is None:
-            try:
-                value = Value(normalize_term(unquote(term)), None if rank is None else int(rank))
-            except EmptyTermError:
-                raise _LineError(i, "value term must not be blank")
-            self.values[term, rank] = value
-        return value, end
-
-    def annotation(self, toks: list[str]) -> tuple[str, AVPair, str]:
-        _expect(toks, 1, "(")
-        object_id = _ident(toks, 2, "object id")
-        _expect(toks, 3, ",")
-        attribute = self.attribute(toks, 4)
-        _expect(toks, 5, ",")
-        _expect(toks, 6, "[")
-        values: list[Value] = []
-        i = 7
-        if toks[i] != "]":
-            value, i = self.value(toks, i)
-            values.append(value)
-            while toks[i] == ",":
-                value, i = self.value(toks, i + 1)
-                values.append(value)
-        _expect(toks, i, "]")
-        _expect(toks, i + 1, ",")
-        target = _ident(toks, i + 2, "target id")
-        _expect(toks, i + 3, ")")
-        _end(toks, i + 4)
-        return object_id, AVPair(attribute, tuple(values)), target
-
-    def flush_group(self) -> None:
-        if self.group_id is None:
-            return
+def _attribute(toks: list[str], i: int, attributes: dict[str, str]) -> str | None:
+    tok = toks[i]
+    if tok == "_":
+        return None
+    if tok[:1] == "_":  # _x: the attribute is the '_', and a ',' is missing
+        raise _LineError(i, "expected ','", 1)
+    name = attributes.get(tok)
+    if name is None:
         try:
-            self.kb.insert(AnnotationObject(
-                self.group_id, self.group_target, tuple(self.group_pairs), IMPORT_META))
-            self.loaded += 1
-        except AnnoteKBError as exc:  # DuplicateId / CyclicTarget / InvalidObject
-            for lineno in self.group_lines:  # each dropped line is reported
-                self.reject(lineno, 1, str(exc))
-        self.group_id = self.group_target = None
-        self.group_pairs = []
+            name = normalize_attribute(unquote(_quoted(toks, i)))
+        except EmptyAttributeError:
+            raise _LineError(i, "attribute must not be blank")
+        attributes[tok] = name
+    return name
 
-    def fact_line(self, lineno: int, object_id: str, pair: AVPair, target: str) -> None:
-        if pair.attribute is None and not pair.values:
-            self.reject(lineno, 1, "invalid object: pair has neither attribute nor values")
-            return
-        if object_id == target:
-            self.reject(lineno, 1, f"annotation {object_id} cannot annotate itself")
-            return
-        if object_id == self.group_id:
-            if target != self.group_target:
-                reason = f"conflicting target for {object_id}: {target} after {self.group_target}"
-                self.reject(lineno, 1, reason)
-                return
-            self.group_pairs.append(pair)
-            self.group_lines.append(lineno)
-            return
-        self.flush_group()
-        self.group_id = object_id
-        self.group_target = target
-        self.group_pairs = [pair]
-        self.group_lines = [lineno]
 
-    def declare(self, lineno: int, doc_id: str, tier: DocumentTier) -> None:
-        """Register a document through the store's tier rules, or reject the line."""
+def _value(toks: list[str], i: int, values: dict[tuple[str, str | None], Value]) -> tuple[Value, int]:
+    """The value starting at token i, and the index just past it."""
+    if toks[i] == "(":
+        term = _quoted(toks, i + 1)
+        _expect(toks, i + 2, ",")
+        rank = _rank(toks, i + 3)
+        _expect(toks, i + 4, ")")
+        end = i + 5
+    else:
+        term, rank, end = _quoted(toks, i), None, i + 1
+    value = values.get((term, rank))
+    if value is None:
         try:
-            self.kb.add_document(DocumentRecord(doc_id, tier))
-        except ValueError as exc:
-            self.reject(lineno, 1, str(exc))
+            value = Value(normalize_term(unquote(term)), None if rank is None else int(rank))
+        except EmptyTermError:
+            raise _LineError(i, "value term must not be blank")
+        values[term, rank] = value
+    return value, end
 
-    def annotator_line(self, lineno: int, profile: AnnotatorProfile) -> None:
-        if profile.id in self.kb.annotators:
-            self.reject(lineno, 1, f"annotator {profile.id} already declared; keeping the first")
-            return
-        self.kb.add_annotator(profile)
 
-    def finish(self) -> None:
-        self.flush_group()
-        for lineno, doc_id, tier in self.documents:
-            self.declare(lineno, doc_id, tier)
-        # Groups are reported when flushed and documents only now: restore line order.
-        self.diagnostics.sort(key=lambda d: d.line)
-
-    def run(self, text: str) -> None:
-        tokenize = _TOKEN.findall
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            toks = tokenize(line)
-            if not toks or toks[0] == "%":
-                continue
-            toks.append("")  # the sentinel marking the end of the line
-            head = toks[0]
-            try:
-                if head == "annotation":
-                    self.fact_line(lineno, *self.annotation(toks))
-                elif head == "document":
-                    self.documents.append((lineno, *_document(toks)))
-                elif head == "annotator":
-                    self.annotator_line(lineno, _annotator(toks))
-                else:
-                    _ident(toks, 0, "a clause name")
-                    self.reject(lineno, 1, f"unknown clause: {head}")
-            except _LineError as exc:
-                self.reject(lineno, *_locate(line, *exc.args))
-        self.finish()
+def _annotation(
+    toks: list[str], attributes: dict[str, str], values: dict[tuple[str, str | None], Value]
+) -> tuple[str, AVPair, str]:
+    _expect(toks, 1, "(")
+    object_id = _ident(toks, 2, "object id")
+    _expect(toks, 3, ",")
+    attribute = _attribute(toks, 4, attributes)
+    _expect(toks, 5, ",")
+    _expect(toks, 6, "[")
+    parsed: list[Value] = []
+    i = 7
+    if toks[i] != "]":
+        value, i = _value(toks, i, values)
+        parsed.append(value)
+        while toks[i] == ",":
+            value, i = _value(toks, i + 1, values)
+            parsed.append(value)
+    _expect(toks, i, "]")
+    _expect(toks, i + 1, ",")
+    target = _ident(toks, i + 2, "target id")
+    _expect(toks, i + 3, ")")
+    _end(toks, i + 4)
+    return object_id, AVPair(attribute, tuple(parsed)), target
 
 
 def load_facts(text: str) -> LoadResult:
@@ -356,15 +266,81 @@ def load_facts_into(kb: KnowledgeBase, text: str) -> LoadResult:
     collections would find nothing.  The caller's setting is restored
     afterwards, also when the load raises.
     """
-    loader = _Loader(kb)
+    diagnostics: list[Diagnostic] = []
+    # Normalized so far in this load, by raw token (and raw rank token).
+    attributes: dict[str, str] = {}
+    values: dict[tuple[str, str | None], Value] = {}
+    # Document lines are declared once all objects are known, as an
+    # annotation further down may take a declared id.
+    documents: list[tuple[int, str, DocumentTier]] = []
+
+    def annotation_lines() -> Iterator[tuple[int, str, AVPair, str]]:
+        """(line, object id, pair, target) of each annotation line holding
+        a storable pair; every other line is dealt with here."""
+        tokenize = _TOKEN.findall
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            toks = tokenize(line)
+            if not toks or toks[0] == "%":
+                continue
+            toks.append("")  # the sentinel marking the end of the line
+            head = toks[0]
+            try:
+                if head == "annotation":
+                    object_id, pair, target = _annotation(toks, attributes, values)
+                    if pair.attribute is None and not pair.values:
+                        reason = "invalid object: pair has neither attribute nor values"
+                        diagnostics.append(Diagnostic(lineno, 1, reason))
+                    elif object_id == target:
+                        reason = f"annotation {object_id} cannot annotate itself"
+                        diagnostics.append(Diagnostic(lineno, 1, reason))
+                    else:
+                        yield lineno, object_id, pair, target
+                elif head == "document":
+                    documents.append((lineno, *_document(toks)))
+                elif head == "annotator":
+                    profile = _annotator(toks)
+                    if profile.id in kb.annotators:
+                        reason = f"annotator {profile.id} already declared; keeping the first"
+                        diagnostics.append(Diagnostic(lineno, 1, reason))
+                    else:
+                        kb.add_annotator(profile)
+                else:
+                    _ident(toks, 0, "a clause name")
+                    diagnostics.append(Diagnostic(lineno, 1, f"unknown clause: {head}"))
+            except _LineError as exc:
+                diagnostics.append(Diagnostic(lineno, *_locate(line, *exc.args)))
+
+    loaded = 0
     collecting = gc.isenabled()
     gc.disable()
     try:
-        loader.run(text)
+        for object_id, group in groupby(annotation_lines(), itemgetter(1)):
+            lineno, _, pair, target = next(group)
+            lines, pairs = [lineno], [pair]
+            for lineno, _, pair, other in group:
+                if other != target:
+                    reason = f"conflicting target for {object_id}: {other} after {target}"
+                    diagnostics.append(Diagnostic(lineno, 1, reason))
+                else:
+                    lines.append(lineno)
+                    pairs.append(pair)
+            try:
+                kb.insert(AnnotationObject(object_id, target, tuple(pairs), IMPORT_META))
+                loaded += 1
+            except AnnoteKBError as exc:  # DuplicateId / CyclicTarget / InvalidObject
+                for lineno in lines:  # each dropped line is reported
+                    diagnostics.append(Diagnostic(lineno, 1, str(exc)))
+        for lineno, doc_id, tier in documents:
+            try:  # through the store's tier rules
+                kb.add_document(DocumentRecord(doc_id, tier))
+            except ValueError as exc:
+                diagnostics.append(Diagnostic(lineno, 1, str(exc)))
     finally:
         if collecting:
             gc.enable()
-    return LoadResult(kb, tuple(loader.diagnostics), loader.loaded)
+    # Groups are reported when inserted and documents only at the end: restore line order.
+    diagnostics.sort(key=lambda d: d.line)
+    return LoadResult(kb, tuple(diagnostics), loaded)
 
 
 def save_facts(kb: KnowledgeBase) -> str:

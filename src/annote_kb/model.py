@@ -84,16 +84,35 @@ def normalize_attribute(raw: str) -> AttributeName:
     return text
 
 
+# int() and str() refuse more digits than sys.get_int_max_str_digits(),
+# which can be set as low as 640, so a rank this long loads and saves
+# under any setting.
+_RANK_DIGITS = 640
+_RANK_BOUND = 10**_RANK_DIGITS
+
+
 @dataclass(frozen=True, slots=True)
 class Value:
     """One value term, optionally weighted by an integer rank.
 
     The rank is storage only: matching and inference compare terms and
-    ignore ranks, but the rank survives save/load round trips.
+    ignore ranks, but the rank survives save/load round trips.  So a rank
+    other than None must be an int (not a bool) of at most _RANK_DIGITS
+    digits, or ValueError is raised.
     """
 
     term: Term
     rank: int | None = None
+
+    def __post_init__(self) -> None:
+        rank = self.rank
+        if rank is None:
+            return
+        if type(rank) is not int:
+            raise ValueError(f"rank must be an int or None, not {rank!r}")
+        # Compared, not converted: str() itself refuses a long enough int.
+        if not -_RANK_BOUND < rank < _RANK_BOUND:
+            raise ValueError(f"rank longer than {_RANK_DIGITS} digits")
 
 
 RawValue = Union[str, tuple[str, int], Value]
@@ -249,6 +268,8 @@ class DocumentRecord:
     def __post_init__(self) -> None:
         if not _is_id(self.id):
             raise InvalidIdError(self.id)
+        if not isinstance(self.tier, DocumentTier):  # "primary" -> PRIMARY; ValueError if unknown
+            object.__setattr__(self, "tier", DocumentTier(self.tier))
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,6 +284,8 @@ class AnnotatorProfile:
         if not _is_id(self.id):
             raise InvalidIdError(self.id)
         _check_one_line(self.name, "annotator name")
+        if not isinstance(self.role, AnnotatorRole):  # as DocumentRecord.tier
+            object.__setattr__(self, "role", AnnotatorRole(self.role))
 
 
 def classify(obj: AnnotationObject) -> Explicitness:

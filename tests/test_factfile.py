@@ -123,6 +123,30 @@ def test_comment_between_group_lines_does_not_split():
     assert len(result.kb.objects["n1"].pairs) == 2
 
 
+def test_lines_between_two_lines_of_one_object_do_not_end_its_group():
+    result = load_facts(
+        'annotation(n1, "a", ["x"], d1).\n'
+        "document(d2, secondary).\n"
+        'annotator(v1, "Anne", veilleur).\n'
+        "\n"
+        'annotation(n1, "b", ["y"] d1).\n'
+        'annotation(n1, "b", ["y"], n1).\n'
+        "annotation(n1, _, [], d1).\n"
+        'annotation(n1, "b", ["y"], d3).\n'
+        'annotation(n1, "c", ["z"], d1).\n'
+    )
+    assert result.loaded == 1
+    assert result.kb.objects["n1"].pairs == (make_pair("a", ["x"]), make_pair("c", ["z"]))
+    assert result.kb.documents["d2"].tier is DocumentTier.SECONDARY
+    assert "v1" in result.kb.annotators
+    assert [(d.line, d.reason) for d in result.diagnostics] == [
+        (5, "expected ','"),
+        (6, "annotation n1 cannot annotate itself"),
+        (7, "invalid object: pair has neither attribute nor values"),
+        (8, "conflicting target for n1: d3 after d1"),
+    ]
+
+
 def test_non_consecutive_duplicate_is_rejected():
     text = (
         'annotation(n1, "a", ["x"], d1).\n'
@@ -427,6 +451,30 @@ def test_escapes_round_trip():
     reloaded = load_facts(save_facts(kb))
     assert not reloaded.diagnostics
     assert kb_state(reloaded.kb) == kb_state(kb)
+
+
+def test_longest_negative_rank_round_trips():
+    rank = -(10**640 - 1)
+    kb = KnowledgeBase()
+    kb.insert(AnnotationObject("n1", "d1", (make_pair("k", [("x", rank)]),), IMPORT_META))
+    reloaded = load_facts(save_facts(kb))
+    assert not reloaded.diagnostics
+    assert reloaded.kb.objects["n1"].pairs[0].values == (Value("x", rank),)
+
+
+def test_plain_string_tier_and_role_are_coerced():
+    kb = KnowledgeBase()
+    kb.add_document(DocumentRecord("d1", "primary"))
+    kb.add_annotator(AnnotatorProfile("u1", "Ann", "analyste"))
+    assert kb.documents["d1"].tier is DocumentTier.PRIMARY
+    assert kb.annotators["u1"].role is AnnotatorRole.ANALYSTE
+    assert save_facts(kb) == f'{HEADER}\ndocument(d1, primary).\nannotator(u1, "Ann", analyste).\n'
+    with pytest.raises(ValueError, match="not an annotation"):
+        kb.add_document(DocumentRecord("d2", "tertiary"))
+    with pytest.raises(ValueError):
+        DocumentRecord("d3", "Primary")
+    with pytest.raises(ValueError):
+        AnnotatorProfile("u2", "Bob", "chef")
 
 
 def test_random_kbs_round_trip_index_identical():

@@ -125,6 +125,21 @@ def test_value_rank_is_kept_but_distinct():
     assert Value("pauvre", 0).term == Value("pauvre", 1).term
 
 
+@pytest.mark.parametrize(
+    "rank",
+    [True, False, 1.0, "1", 10**640, -(10**640), 10**5000],
+    ids=["True", "False", "1.0", "'1'", "10**640", "-10**640", "10**5000"],  # str() refuses 10**5000
+)
+def test_value_refuses_a_rank_a_fact_file_cannot_hold(rank):
+    with pytest.raises(ValueError, match="rank"):
+        Value("x", rank)
+
+
+def test_make_pair_refuses_a_rank_too_long_to_save():
+    with pytest.raises(ValueError, match="rank longer than 640 digits"):
+        make_pair("k", [("x", 10**5000)])
+
+
 def test_make_pair_normalizes_both_sides():
     pair = make_pair("Mots Clés", ["ATN", ("Pertinent", 4)])
     assert pair.attribute == "mots-clés"
