@@ -14,7 +14,7 @@ class EmptyAttributeError(AnnoteKBError):
 
 
 class LineBreakError(AnnoteKBError):
-    """A term or annotator name contains a line break.
+    """A term, attribute or annotator name contains a line break.
 
     A fact file holds one clause per line, so such text could not be saved
     and read back.

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-import uuid
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 from enum import Enum
 from typing import Iterable, Union
 
@@ -48,7 +46,8 @@ _is_id = ID.fullmatch  # bound once: constructors check each id with one call
 
 
 def _check_one_line(text: str, what: str) -> None:
-    if _LINE_BREAK.search(text):
+    # Every line break is unprintable, so printable text needs no search.
+    if not text.isprintable() and _LINE_BREAK.search(text):
         raise LineBreakError(f"{what} contains a line break: {text!r}")
 
 
@@ -98,13 +97,15 @@ class Value:
     The rank is storage only: matching and inference compare terms and
     ignore ranks, but the rank survives save/load round trips.  So a rank
     other than None must be an int (not a bool) of at most _RANK_DIGITS
-    digits, or ValueError is raised.
+    digits, or ValueError is raised; and a term holding a line break,
+    which a fact file would split into lines, raises LineBreakError.
     """
 
     term: Term
     rank: int | None = None
 
     def __post_init__(self) -> None:
+        _check_one_line(self.term, "term")
         rank = self.rank
         if rank is None:
             return
@@ -134,13 +135,16 @@ class AVPair:
 
     attribute None means "attribute unknown"; an empty values tuple means
     "values unknown".  A pair missing both sides is never meaningful and
-    makes the owning annotation invalid (see classify).
+    makes the owning annotation invalid (see classify).  An attribute
+    holding a line break raises LineBreakError, as a term does in Value.
     """
 
     attribute: AttributeName | None
     values: tuple[Value, ...]
 
     def __post_init__(self) -> None:
+        if self.attribute is not None:
+            _check_one_line(self.attribute, "attribute")
         if not isinstance(self.values, tuple):
             object.__setattr__(self, "values", tuple(self.values))
 
@@ -211,6 +215,8 @@ class AnnotatorRole(str, Enum):
 
 
 def _now_iso() -> str:
+    from datetime import datetime, timezone  # here, so importing the package skips it
+
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
@@ -343,5 +349,8 @@ def build_object(
         built.append(pair)
     if not built:
         raise InvalidPairError("an annotation needs at least one pair")
-    oid = object_id if object_id is not None else "ann_" + uuid.uuid4().hex[:12]
-    return AnnotationObject(oid, target, tuple(built), replace(meta, action=action))
+    if object_id is None:
+        import uuid  # here, so importing the package skips it (and platform)
+
+        object_id = "ann_" + uuid.uuid4().hex[:12]
+    return AnnotationObject(object_id, target, tuple(built), replace(meta, action=action))

@@ -5,11 +5,14 @@ import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import annote_kb.cli
 from annote_kb.cli import main
 from test_factfile_golden import DATA, EDGE_LINES
 
@@ -640,3 +643,25 @@ def test_cli_never_raises_and_exits_with_a_documented_code(command, fmt, data):
             json.loads(out.getvalue())
         if command == "ingest" and code == 1:
             assert (kb.read_bytes() if kb.exists() else None) == kb_bytes
+
+
+# ---------------------------------------------------------------- start-up
+
+
+def test_importing_the_cli_skips_uuid_and_datetime():
+    # build_object and _now_iso import them when they run; every command
+    # would pay for them (and uuid's platform) at start-up otherwise.
+    src = str(pathlib.Path(annote_kb.cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import annote_kb.cli"],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    imported = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "annote_kb.cli" in imported
+    assert not imported & {"uuid", "datetime"}

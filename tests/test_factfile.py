@@ -5,6 +5,7 @@ import gc
 import random
 import re
 import sys
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -394,6 +395,46 @@ def test_save_quotes_each_spelling_like_pair_by_pair_rendering():
     kb.add_annotator(AnnotatorProfile("v1", 'nom "bizarre" \\', AnnotatorRole.AUTRE))
     assert save_facts(kb) == naive_save_facts(kb)
     assert kb_state(load_facts(save_facts(kb)).kb) == kb_state(kb)
+
+
+def _batch(seed: int, n: int) -> str:
+    """Fact text of 40 random objects under ids no random_kb base holds."""
+    return re.sub(r"\bobj(?=\d{5}\b)", f"b{n}_", save_facts(random_kb(seed, n_objects=40)))
+
+
+def _saves_like_the_oracle(*kbs: KnowledgeBase) -> None:
+    for kb in kbs:
+        text = save_facts(kb)
+        assert text == naive_save_facts(kb)
+        assert save_facts(load_facts(text).kb) == text
+
+
+@pytest.mark.parametrize("seed, shuffled", [(0, False), (1, True), (2, False)])
+def test_saving_again_writes_no_stale_or_missing_text(seed, shuffled):
+    # save_facts keeps each object's text for the next save of its base.
+    kb = random_kb(seed, n_objects=300, shuffled=shuffled)
+    _saves_like_the_oracle(kb)
+    kb.insert(AnnotationObject("obj00150a", "doc001", (make_pair("ajout", ["x"]),), IMPORT_META))
+    _saves_like_the_oracle(kb)
+    assert load_facts_into(kb, _batch(seed + 10, 1)).loaded == 40
+    _saves_like_the_oracle(kb)
+    kb.add_document(DocumentRecord("doc999", DocumentTier.SECONDARY))
+    kb.add_annotator(AnnotatorProfile("v9", "Anne Dupont", AnnotatorRole.VEILLEUR))
+    _saves_like_the_oracle(kb)
+    dup = kb.copy()
+    _saves_like_the_oracle(dup)
+    # One new id, a different object on each side of the copy.
+    kb.insert(AnnotationObject("n_new", "doc002", (make_pair("a", ["base"]),), IMPORT_META))
+    _saves_like_the_oracle(kb)
+    dup.insert(AnnotationObject("n_new", "doc003", (make_pair("b", ["copie"]),), IMPORT_META))
+    _saves_like_the_oracle(dup, kb, dup)
+    assert load_facts_into(dup, _batch(seed + 20, 2)).loaded == 40
+    _saves_like_the_oracle(dup, kb)
+    # objects is a plain dict: an object put there under a saved id is
+    # written afresh, not as the text kept for the one it replaced.
+    oid = kb.sorted_ids()[7]
+    kb.objects[oid] = replace(kb.objects[oid], pairs=(make_pair("remplacé", ["y"]),))
+    _saves_like_the_oracle(kb)
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])

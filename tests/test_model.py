@@ -76,11 +76,13 @@ def test_normalize_attribute_blank_raises():
             normalize_attribute(raw)
 
 
+# Whatever str.splitlines cuts a fact file on could not be saved.
+LINE_BREAKS = [c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".splitlines()) == 2]
+
+
 def test_line_breaks_in_terms_and_annotator_names_raise():
-    # Whatever str.splitlines cuts a fact file on could not be saved.
-    breaks = [c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".splitlines()) == 2]
-    assert len(breaks) == 10
-    for c in breaks:
+    assert len(LINE_BREAKS) == 10
+    for c in LINE_BREAKS:
         with pytest.raises(LineBreakError):
             normalize_term(f"a{c}b")
         with pytest.raises(LineBreakError):
@@ -89,6 +91,23 @@ def test_line_breaks_in_terms_and_annotator_names_raise():
             AnnotatorProfile("v1", f"Anne{c}Dupont", AnnotatorRole.VEILLEUR)
         assert normalize_term(f"{c}ab{c}") == "ab"  # trimmed away, nothing left inside
         assert normalize_attribute(f"a{c}b") == "a-b"  # a separator, like any space
+
+
+def test_bare_values_and_pairs_refuse_line_breaks():
+    # Saved as is, such a term or attribute would split its annotation line:
+    # the term below would declare a document d9 nobody added.
+    with pytest.raises(LineBreakError):
+        AVPair("a", (Value("x\ndocument(d9, secondary).\n%"),))
+    with pytest.raises(LineBreakError):
+        AVPair('b\nannotation(n9, "c", ["y"], d9).\n%', (Value("x"),))
+    for c in LINE_BREAKS:
+        with pytest.raises(LineBreakError):
+            Value(f"a{c}b")
+        with pytest.raises(LineBreakError):
+            Value(f"a{c}b", 1)
+        with pytest.raises(LineBreakError):
+            AVPair(f"a{c}b", ())
+    assert AVPair(None, (Value("x"),)).attribute is None
 
 
 @given(FRENCH_TEXT)
