@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import NoCandidatesError, NotImplicitError
@@ -61,6 +62,8 @@ def infer_attributes(kb: KnowledgeBase, terms: list[str]) -> list[AttributeCandi
     empty.  Candidates are ordered by support count descending, then by
     attribute name ascending.  An empty result is a legal outcome.
     """
+    if isinstance(terms, str):
+        raise TypeError("terms must be a list of terms, not one str")
     if not terms:
         raise ValueError("at least one term is required")
     wanted = [normalize_term(t) for t in terms]
@@ -71,6 +74,14 @@ def infer_attributes(kb: KnowledgeBase, terms: list[str]) -> list[AttributeCandi
             out.append(AttributeCandidate(attribute, tuple(sorted(covering))))
     out.sort(key=lambda c: (-c.support_count, c.attribute))
     return out
+
+
+def _check_count(count: object, name: str) -> None:
+    # Same rule as a Value's rank: a bool or a float is refused.
+    if type(count) is not int:
+        raise TypeError(f"{name} must be an int, not {count!r}")
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 def _rank_key(item: tuple[tuple[Value, ...], list[str]]) -> tuple:
@@ -88,13 +99,24 @@ def infer_values(
     ordered by support count descending, then by first term ascending,
     with the full list as a final deterministic tie-break.  With a limit,
     the result is exactly infer_values(kb, attribute)[:limit], and only
-    the returned lists are ranked in full.  Raises ValueError when limit
-    is below 1.
+    the returned lists are ranked in full.  Raises TypeError when limit is
+    neither None nor an int, and ValueError when it is below 1.
+
+    A limited call keeps its candidates in the base until the next insert
+    under attribute (see store.py), so asking again for at most as many,
+    or for any number once every list fits, ranks nothing.
     """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be at least 1")
-    by_list = kb.values_by_attribute.get(normalize_attribute(attribute), {})
-    if limit is None or len(by_list) <= limit:
+    if limit is not None:
+        _check_count(limit, "limit")
+    attribute = normalize_attribute(attribute)
+    # An entry: (the limit it was built for, whether it ranks every list,
+    # the candidates).
+    kept = kb._rankings.get(attribute)
+    if kept is not None and (kept[1] or (limit is not None and limit <= kept[0])):
+        return list(kept[2][:limit])
+    by_list = kb.values_by_attribute.get(attribute, {})
+    complete = limit is None or len(by_list) <= limit
+    if complete:
         ranked = sorted(by_list.items(), key=_rank_key)
     else:
         # Only lists held at least as often as the limit-th one can make
@@ -102,7 +124,12 @@ def infer_values(
         floor = heapq.nlargest(limit, map(len, by_list.values()))[-1]
         contenders = (item for item in by_list.items() if len(item[1]) >= floor)
         ranked = heapq.nsmallest(limit, contenders, key=_rank_key)
-    return [ValueCandidate(values, tuple(sorted(ids))) for values, ids in ranked]
+    found = [ValueCandidate(values, tuple(sorted(ids))) for values, ids in ranked]
+    # Without a limit nothing is kept, so an entry never holds more
+    # candidates than some caller asked for.
+    if limit is not None and by_list:
+        kb._rankings[attribute] = (limit, complete, tuple(found))
+    return found
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,12 +155,13 @@ def explicate(kb: KnowledgeBase, obj: AnnotationObject, cap: int = 16) -> list[E
     cartesian across pairs, truncated to cap.  Every returned object
     classifies as explicit; id, target and meta are kept.
 
-    Raises NotImplicitError unless classify(obj) is implicit, and
+    Raises TypeError when cap is not an int and ValueError when it is
+    below 1; a cap past sys.maxsize returns every combination.  Raises
+    NotImplicitError unless classify(obj) is implicit, and
     NoCandidatesError (with the offending pair index) when some deficient
     pair finds no evidence at all.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    _check_count(cap, "cap")
     state = classify(obj)
     if state is not Explicitness.IMPLICIT:
         raise NotImplicitError(f"object {obj.id} is {state.value}, not implicit")
@@ -154,7 +182,7 @@ def explicate(kb: KnowledgeBase, obj: AnnotationObject, cap: int = 16) -> list[E
             choices.append([(AVPair(pair.attribute, c.values), c.support) for c in found])
 
     out: list[Explication] = []
-    for combo in itertools.islice(itertools.product(*choices), cap):
+    for combo in itertools.islice(itertools.product(*choices), min(cap, sys.maxsize)):
         pairs = tuple(pair for pair, _ in combo)
         support = tuple(ids for _, ids in combo)
         out.append(Explication(replace(obj, pairs=pairs), support))

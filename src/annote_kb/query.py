@@ -462,8 +462,10 @@ class RewriteReport:
 def _resolve_terms(kb: KnowledgeBase, terms: list[str]) -> tuple[dict, tuple[Term, ...]]:
     """Each distinct normalized term, in input order, with the store's own
     {attribute: ids} postings of it ({} for none; never change them), and
-    the unresolved terms.  Raises ValueError for no terms and
-    AllUnresolvedError when not a single term resolves."""
+    the unresolved terms.  Raises TypeError for a bare str, ValueError for
+    no terms and AllUnresolvedError when not a single term resolves."""
+    if isinstance(terms, str):
+        raise TypeError("terms must be a list of terms, not one str")
     if not terms:
         raise ValueError("at least one term is required")
     found = {term: kb.postings.get(term, {}) for term in map(normalize_term, terms)}

@@ -12,10 +12,13 @@ but no values gives its attribute a key in values_by_attribute and no
 list.  covering() is the one lookup that query evaluation and attribute
 inference share; values_by_attribute is what value inference reads.
 
-sorted_ids() is derived state, not a fourth index: the stored ids in
-ascending order, built on first use and dropped by insert, the only
-method that adds to objects.  The tuple is never changed in place, so
-copy() shares it.
+Two pieces of derived state sit beside the indexes; neither is a fourth
+index.  sorted_ids() is the stored ids in ascending order, built on first
+use and dropped by insert, the only method that adds to objects.  The
+tuple is never changed in place, so copy() shares it.  _rankings keeps,
+per attribute, the value candidates that inference.infer_values last
+ranked (inference decides what an entry holds); insert drops the entry of
+every attribute its pairs name, and copy() starts with none.
 
 Every stored annotation is also a tertiary document, so an annotation can
 itself be annotated.  document() derives that tier, so documents holds
@@ -63,6 +66,7 @@ class KnowledgeBase:
         self.values_by_attribute: dict[AttributeName, dict[tuple[Value, ...], list[str]]] = {}
         self.index_by_target: dict[str, list[str]] = {}
         self._sorted_ids: tuple[str, ...] | None = None
+        self._rankings: dict[AttributeName, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -86,6 +90,11 @@ class KnowledgeBase:
         oid = obj.id
         self.objects[oid] = obj
         self._sorted_ids = None
+        # Tested once per insert: a load starts with no rankings kept, so it
+        # pays no pop per pair.
+        if self._rankings:
+            for pair in obj.pairs:
+                self._rankings.pop(pair.attribute, None)
         # Get, then create on a miss: setdefault would build a set per call.
         postings = self.postings
         values_by_attribute = self.values_by_attribute
@@ -221,7 +230,8 @@ class KnowledgeBase:
         return chain
 
     def copy(self) -> "KnowledgeBase":
-        """Snapshot for readers; shares only the immutable objects and sorted ids."""
+        """Snapshot for readers; shares only the immutable objects and sorted
+        ids, and starts with no kept rankings."""
         dup = KnowledgeBase()
         dup.objects = dict(self.objects)
         dup.documents = dict(self.documents)

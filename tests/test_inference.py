@@ -78,6 +78,12 @@ def test_infer_attributes_requires_terms(desk_kb):
         infer_attributes(desk_kb, [])
 
 
+def test_infer_attributes_refuses_a_bare_str(desk_kb):
+    # A str is iterable, so it would be read as one term per character.
+    with pytest.raises(TypeError, match="list of terms"):
+        infer_attributes(desk_kb, "pertinent")
+
+
 def test_infer_attributes_ranking_support_then_name():
     kb = KnowledgeBase()
     kb.insert(obj("n1", "d", [("beta", ["x"])]))
@@ -280,6 +286,25 @@ def test_explicate_cap_must_be_positive(desk_kb):
     implicit = obj("n_imp", "doc_A", [AVPair(None, (Value("pertinent"),))])
     with pytest.raises(ValueError):
         explicate(desk_kb, implicit, cap=0)
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "2", None])
+def test_explicate_and_infer_values_refuse_a_count_that_is_not_an_int(desk_kb, count):
+    implicit = obj("n_imp", "doc_A", [AVPair("mots-clés", ())])
+    with pytest.raises(TypeError, match="cap must be an int"):
+        explicate(desk_kb, implicit, cap=count)
+    if count is not None:  # None is infer_values' "no limit"
+        with pytest.raises(TypeError, match="limit must be an int"):
+            infer_values(desk_kb, "souligner", limit=count)
+    assert desk_kb._rankings == {}  # refused before any work
+
+
+def test_explicate_cap_past_sys_maxsize_returns_every_combination(desk_kb):
+    implicit = obj("n_imp", "doc_A", [AVPair("mots-clés", ())])
+    found = explicate(desk_kb, implicit, cap=10**30)
+    assert [ex.object.pairs[0].values for ex in found] == [
+        c.values for c in infer_values(desk_kb, "mots-clés")
+    ]
 
 
 def test_explicate_rejects_explicit_and_invalid(desk_kb):

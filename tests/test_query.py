@@ -752,6 +752,13 @@ def test_rewrite_requires_terms(desk_kb):
         rewrite_constrained(desk_kb, [])
 
 
+@pytest.mark.parametrize("read", [rewrite_constrained, search_constrained])
+def test_constrained_reads_refuse_a_bare_str(desk_kb, read):
+    # A str is iterable, so it would be read as one term per character.
+    with pytest.raises(TypeError, match="list of terms"):
+        read(desk_kb, "pertinent")
+
+
 def test_rewrite_is_deterministic(desk_kb):
     terms = ["pertinent", "désinformation"]
     assert rewrite_constrained(desk_kb, terms) == rewrite_constrained(desk_kb, terms)
