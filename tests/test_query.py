@@ -235,6 +235,22 @@ def test_an_operand_that_is_no_query_expression_is_a_type_error(desk_kb):
             evaluate(desk_kb, expr)
 
 
+def test_an_operand_that_is_no_query_expression_still_prints_and_compares():
+    # repr, == and hash take such an operand as an opaque item.
+    a = leaf("k", "a")
+    text_a = repr(a)
+    assert repr(And((a, None))) == f"And(children=({text_a}, None))"
+    assert repr(Not("k")) == "Not(child='k')"
+    assert repr(Not(Or((Not(a), "k")))) == f"Not(child=Or(children=(Not(child={text_a}), 'k')))"
+    for make in (lambda: And((a, None)), lambda: Not("k"), lambda: Not(Or((Not(a), "k")))):
+        first, second = make(), make()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+    assert And((a, None)) != And((a, "k")) and And((a, None)) != And((None, a))
+    assert Not("k") != Not("j") and Not("k") != Not(Not("k"))
+    assert Not(Or((Not(a), "k"))) != Not(Or((a, "k")))
+
+
 def test_criterion_requires_terms():
     with pytest.raises(ValueError):
         Criterion("k", ())
