@@ -33,9 +33,11 @@ each token before it reads the next.  Offsets are found only for a refused
 query, and a stray quote or word anywhere in it is reported before the
 parser's complaint.
 
-The parser, evaluate and format_query keep the open parentheses or
-ET/OU nodes on an explicit stack, and a chain of NON adds only a count,
-so a query of any depth parses, evaluates and prints.
+The parser keeps its open parentheses on an explicit stack.  Every other
+reader of a tree (evaluate, format_query, and repr, == and hash of its
+nodes) folds the one pre-order stream of operands that _walk yields from
+one explicit stack, where a chain of NON adds only a count, so a query of
+any depth parses, evaluates, prints and compares in time linear in its size.
 """
 
 from __future__ import annotations
@@ -70,13 +72,17 @@ from .store import KnowledgeBase
 @dataclass(frozen=True, slots=True)
 class Criterion:
     """attribute is None for a constrained criterion (attribute unknown).
-    A term holding a line break raises LineBreakError: query text cannot
-    carry one, so format_query could not print it."""
+    Any iterable of terms is kept as a tuple, and a bare str raises
+    TypeError.  A term holding a line break raises LineBreakError: query
+    text cannot carry one, so format_query could not print it."""
 
     attribute: AttributeName | None
     values: tuple[Term, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.values, str):
+            raise TypeError("values must be a tuple of terms, not one str")
+        object.__setattr__(self, "values", tuple(self.values))  # a tuple stays itself
         if not self.values:
             raise ValueError("a criterion needs at least one term")
         for term in self.values:
@@ -89,42 +95,37 @@ class Leaf:
 
 
 class _Node:
-    """==, hash and repr of ET, OU and NON walk whole trees without
-    recursion, so a tree nested deeper than the interpreter's stack still
-    compares and prints."""
+    """==, hash and repr of ET, OU and NON read _walk, so a tree nested
+    deeper than the interpreter's stack still compares and prints."""
 
     __slots__ = ()
 
     def __repr__(self) -> str:
         """The text dataclass would generate, such as
-        Not(child=Leaf(criterion=...)), built with an explicit stack."""
+        Not(child=Leaf(criterion=...))."""
         out: list[str] = []
-        stack: list[tuple[bool, object]] = [(False, self)]  # (is text, item)
-        while stack:
-            is_text, item = stack.pop()
-            if is_text:
-                out.append(item)
-            elif isinstance(item, Not):
-                out.append(f"{item.__class__.__qualname__}(child=")
-                stack += ((True, ")"), (False, item.child))
-            elif isinstance(item, (And, Or)):
-                out.append(f"{item.__class__.__qualname__}(children=(")
-                stack.append((True, "))"))
-                for i, child in enumerate(reversed(item.children)):
-                    if i:
-                        stack.append((True, ", "))
-                    stack.append((False, child))
+        closers: list[str] = []  # of each open ET/OU node
+        for index, nots, node in _walk(self):
+            if index < 0:
+                out.append(closers.pop())
+                continue
+            if index:
+                out.append(", ")
+            out.append("Not(child=" * nots)
+            if isinstance(node, (And, Or)):
+                out.append(f"{node.__class__.__qualname__}(children=(")
+                closers.append("))" + ")" * nots)
             else:
-                out.append(repr(item))
+                out.append(repr(node) + ")" * nots)
         return "".join(out)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or _preorder(self) == _preorder(other)
+        return self is other or _shape(self) == _shape(other)
 
     def __hash__(self) -> int:
-        return hash(_preorder(self))
+        return hash(_shape(self))
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -153,23 +154,45 @@ class Not(_Node):
 QueryExpr = Union[Leaf, And, Or, Not]
 
 
-def _preorder(expr: QueryExpr) -> tuple:
-    """The nodes of expr in pre-order, each ET/OU/NON as its class and
-    operand count and anything else as itself.  The count makes the
-    sequence name exactly one tree, so trees are equal when theirs are."""
-    found: list = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Not):
-            found += (node.__class__, 1)
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            found += (node.__class__, len(node.children))
-            stack.extend(reversed(node.children))
+_END = (-1, 0, None)  # what _walk yields after the operands of an ET/OU node
+
+
+def _walk(expr: QueryExpr):
+    """The operands of expr in pre-order, as (index among its siblings,
+    length of the NON chain above it, the node below that chain), with
+    _END after the operands of each ET/OU node; expr itself is operand 0.
+    A node that is no Leaf, And or Or comes out as it is, for its consumer
+    to refuse or to print.  The open ET/OU node is its operands and the
+    index of the next one; the nodes above it wait on one explicit stack.
+    """
+    stack: list[tuple] = []
+    operands, index = (expr,), 0
+    while True:
+        if index < len(operands):
+            node = operands[index]
+            nots = 0
+            while isinstance(node, Not):
+                nots += 1
+                node = node.child
+            yield index, nots, node
+            index += 1
+            if isinstance(node, (And, Or)):
+                stack.append((operands, index))
+                operands, index = node.children, 0
+        elif stack:
+            yield _END
+            operands, index = stack.pop()
         else:
-            found.append(node)
-    return tuple(found)
+            return
+
+
+def _shape(expr: QueryExpr) -> tuple:
+    """_walk's stream with each ET/OU node as its class: the end markers
+    make it name exactly one tree, so trees are equal when theirs are."""
+    return tuple(
+        (index, nots, node.__class__ if isinstance(node, (And, Or)) else node)
+        for index, nots, node in _walk(expr)
+    )
 
 
 _KEYWORDS = {"et": "AND", "and": "AND", "ou": "OR", "or": "OR", "non": "NOT", "not": "NOT"}
@@ -300,50 +323,30 @@ def parse_query(text: str) -> QueryExpr:
     raise QuerySyntaxError(starts[index] if index < len(starts) else len(text), expected)
 
 
-def _criterion_text(criterion: Criterion) -> str:
-    inner = "[" + ", ".join(quote(t) for t in criterion.values) + "]"
-    if criterion.attribute is None:
-        return f"({inner})"
-    return f"({quote(criterion.attribute)}, {inner})"
-
-
 def format_query(expr: QueryExpr) -> str:
     """Canonical text for a query tree; parse_query inverts it exactly."""
-    # The open ET/OU node: its operands, the index of the next one, whether
-    # it is an OU, its NON count and its operands' texts; the nodes above it
-    # wait on stack.  The query is the one operand of a bottom node, whose
-    # kind is None.
-    stack: list[tuple] = []
-    operands, index, is_or, nots, parts = (expr,), 0, None, 0, []
-    while True:
-        if index < len(operands):
-            expr = operands[index]
-            index += 1
-            expr_nots = 0
-            while isinstance(expr, Not):
-                expr_nots += 1
-                expr = expr.child
-            if not isinstance(expr, Leaf):
-                if not isinstance(expr, (And, Or)):
-                    raise TypeError(f"not a query expression: {expr!r}")
-                stack.append((operands, index, is_or, nots, parts))
-                operands, index, is_or, nots, parts = (
-                    expr.children, 0, isinstance(expr, Or), expr_nots, [])
-                continue
-            text = "NON " * expr_nots + _criterion_text(expr.criterion)
-        else:
-            if not stack:
-                return parts[0]
-            text = (" OU " if is_or else " ET ").join(parts)
+    out: list[str] = []
+    frames: list[tuple[bool, str]] = []  # (is OU, closer) of each open ET/OU node
+    for index, nots, node in _walk(expr):
+        if index < 0:
+            out.append(frames.pop()[1])
+            continue
+        if index:
+            out.append(" OU " if frames[-1][0] else " ET ")
+        if isinstance(node, Leaf):
+            criterion = node.criterion
+            attribute = "" if criterion.attribute is None else quote(criterion.attribute) + ", "
+            out.append(f"{'NON ' * nots}({attribute}[{', '.join(map(quote, criterion.values))}])")
+        elif isinstance(node, (And, Or)):
+            is_or = isinstance(node, Or)
             # NON binds tighter than ET, and ET tighter than OU; a node nested
             # in its own kind keeps its parens so the tree keeps its shape.
-            parent_is_or = stack[-1][2]
-            if nots:
-                text = "NON " * nots + f"({text})"
-            elif parent_is_or is not None and (is_or or not parent_is_or):
-                text = f"({text})"
-            operands, index, is_or, nots, parts = stack.pop()
-        parts.append(text)
+            parens = nots or frames and (is_or or not frames[-1][0])
+            out.append("NON " * nots + "(" if parens else "")
+            frames.append((is_or, ")" if parens else ""))
+        else:
+            raise TypeError(f"not a query expression: {node!r}")
+    return "".join(out)
 
 
 def _resolved(criterion: Criterion) -> AttributeName:
@@ -377,39 +380,31 @@ def _eval(kb: KnowledgeBase, expr: QueryExpr) -> tuple[set[str], bool]:
     # NON b): plain and complemented operands swap roles, and so does the
     # result.  Operands are folded in as they come, so each one's set is
     # freed once merged, and every operand is evaluated, so a constrained
-    # leaf anywhere raises.  The open ET/OU node is its operands, the index
-    # of the next one, whether it is an OU, whether it is complemented, and
-    # the kept and dropped sets so far; the nodes above it wait on stack.
-    # The query is the one operand of a plain ET at the bottom.
+    # leaf anywhere raises.  The open ET/OU node is whether it is an OU,
+    # whether it is complemented, and the kept and dropped sets so far; the
+    # nodes above it wait on stack.  The query is the one operand of a plain
+    # ET at the bottom.
     stack: list[tuple] = []
-    operands, index, is_or, node_complemented, kept, dropped = (expr,), 0, False, False, None, None
-    while True:
-        if index < len(operands):
-            expr = operands[index]
-            index += 1
-            complemented = False
-            while isinstance(expr, Not):
-                complemented = not complemented
-                expr = expr.child
-            if not isinstance(expr, Leaf):
-                if not isinstance(expr, (And, Or)):
-                    raise TypeError(f"not a query expression: {expr!r}")
-                stack.append((operands, index, is_or, node_complemented, kept, dropped))
-                operands, index, is_or, node_complemented, kept, dropped = (
-                    expr.children, 0, isinstance(expr, Or), complemented, None, None)
-                continue
-            criterion = expr.criterion
-            ids = kb.covering(_resolved(criterion), criterion.values)
-        else:
+    is_or, node_complemented, kept, dropped = False, False, None, None
+    for index, nots, node in _walk(expr):
+        if index < 0:
             if kept is None:  # NON a ET NON b == NON (a OU b)
                 ids, complemented = dropped, node_complemented == is_or
             else:
                 if dropped:
                     kept = kept - dropped  # walks the smaller side; -= would walk dropped
                 ids, complemented = kept, node_complemented != is_or
-            if not stack:
-                return ids, complemented
-            operands, index, is_or, node_complemented, kept, dropped = stack.pop()
+            is_or, node_complemented, kept, dropped = stack.pop()
+        elif isinstance(node, Leaf):
+            criterion = node.criterion
+            ids, complemented = kb.covering(_resolved(criterion), criterion.values), nots % 2 == 1
+        elif isinstance(node, (And, Or)):
+            stack.append((is_or, node_complemented, kept, dropped))
+            is_or, node_complemented = isinstance(node, Or), nots % 2 == 1
+            kept = dropped = None
+            continue
+        else:
+            raise TypeError(f"not a query expression: {node!r}")
         if complemented == is_or:
             if kept is None:
                 kept = ids
@@ -419,6 +414,7 @@ def _eval(kb: KnowledgeBase, expr: QueryExpr) -> tuple[set[str], bool]:
             dropped = ids
         else:
             dropped |= ids
+    return (dropped, True) if kept is None else (kept, False)
 
 
 # Past this share of the stored ids, a complement is cut by one set lookup

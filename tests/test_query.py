@@ -254,6 +254,21 @@ def test_an_operand_that_is_no_query_expression_still_prints_and_compares():
 def test_criterion_requires_terms():
     with pytest.raises(ValueError):
         Criterion("k", ())
+    with pytest.raises(ValueError):
+        Criterion("k", [])
+
+
+def test_criterion_keeps_any_iterable_of_terms_as_a_tuple(desk_kb):
+    as_tuple = Leaf(Criterion("mots-clés", ("désinformation",)))
+    for terms in (["désinformation"], iter(["désinformation"]), {"désinformation": 1}):
+        expr = Leaf(Criterion("mots-clés", terms))
+        assert expr.criterion.values == ("désinformation",)
+        assert expr == as_tuple and hash(expr) == hash(as_tuple)
+        assert _reparsed(expr) == expr
+        assert evaluate(desk_kb, expr) == ["note_008", "note_211", "note_702"]
+    # A bare str would be read as one term per character.
+    with pytest.raises(TypeError, match="not one str"):
+        Criterion("mots-clés", "désinformation")
 
 
 @pytest.mark.parametrize("node", [And, Or])

@@ -2,8 +2,9 @@
 
 A hypothesis state machine drives up to three bases (the first and the
 copies taken of it) through inserts, batch loads with bad lines, copies
-with writes to either side, saves and reads, over a vocabulary small
-enough that value lists repeat and rankings tie.  After every step, each
+with writes to either side, document and annotator registrations, saves
+and reads, over a vocabulary small enough that value lists repeat and
+rankings tie.  After every step, each
 base's indexes, its sorted ids, its kept value rankings and its saved
 text are compared with what a naive rebuild from its objects gives, and
 every read is compared with its oracle in tests/oracles.py as it runs.
@@ -11,15 +12,22 @@ every read is compared with its oracle in tests/oracles.py as it runs.
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from annote_kb import (
+    AllUnresolvedError,
+    And,
     AnnotationObject,
+    AnnotatorProfile,
+    AnnotatorRole,
     AVPair,
     Criterion,
     CyclicTargetError,
+    DocumentRecord,
+    DocumentTier,
     DuplicateIdError,
     IMPORT_META,
     InvalidObjectError,
@@ -27,14 +35,20 @@ from annote_kb import (
     Leaf,
     NoCandidatesError,
     Not,
+    Or,
+    UnknownIdError,
     evaluate,
     explicate,
+    format_query,
     infer_attributes,
     infer_values,
     load_facts,
     load_facts_into,
     make_pair,
+    parse_query,
+    rewrite_constrained,
     save_facts,
+    search_constrained,
 )
 from annote_kb.quoting import format_values, quote
 from oracles import (
@@ -86,6 +100,21 @@ objects = st.builds(
 attributes = st.sampled_from(ATTRIBUTES)
 counts = st.integers(1, 20)
 sides = st.integers(0, 2)  # taken modulo the number of bases
+# Terms come as a list, which Criterion keeps as a tuple.
+leaves = st.builds(
+    lambda attribute, terms: Leaf(Criterion(attribute, terms)),
+    attributes,
+    st.lists(st.sampled_from(TERMS), min_size=1, max_size=2, unique=True),
+)
+
+
+def _nodes(trees):
+    operands = st.lists(trees, min_size=2, max_size=3).map(tuple)
+    return st.one_of(st.builds(Not, trees), st.builds(And, operands), st.builds(Or, operands))
+
+
+trees = st.recursive(leaves, _nodes, max_leaves=6)
+bare_terms = st.lists(st.sampled_from(TERMS + ["absent"]), min_size=1, max_size=3)
 
 
 def _line(obj: AnnotationObject, pair: AVPair) -> str:
@@ -207,14 +236,78 @@ class BaseAndCaches(RuleBasedStateMachine):
         else:
             assert [(ex.object.pairs, ex.support) for ex in found] == expected
 
-    @rule(side=sides, attribute=attributes, term=st.sampled_from(TERMS), negated=st.booleans())
-    def evaluate(self, side, attribute, term, negated):
-        # A negated leaf is cut from sorted_ids().
+    @rule(side=sides, expr=trees)
+    def evaluate(self, side, expr):
+        # A complemented result is cut from sorted_ids(); NON over the tree
+        # makes one of the two complemented, and lengthens its NON chain.
         kb = self.base(side)
-        expr = Leaf(Criterion(attribute, (term,)))
-        if negated:
-            expr = Not(expr)
-        assert evaluate(kb, expr) == sorted(naive_eval(kb, expr))
+        for tree in (expr, Not(expr)):
+            assert evaluate(kb, tree) == sorted(naive_eval(kb, tree))
+        reparsed = parse_query(format_query(expr))
+        assert reparsed == expr and hash(reparsed) == hash(expr)
+
+    @rule(side=sides, terms=bare_terms, strict=st.booleans())
+    def search_constrained(self, side, terms, strict):
+        kb = self.base(side)
+        pairs = [p for o in kb.objects.values() for p in o.pairs if p.attribute is not None]
+        held = {v.term for p in pairs for v in p.values}
+        unresolved = tuple(t for t in dict.fromkeys(terms) if t not in held)
+        if len(unresolved) == len(set(terms)):
+            with pytest.raises(AllUnresolvedError):
+                rewrite_constrained(kb, terms)
+            with pytest.raises(AllUnresolvedError):
+                search_constrained(kb, terms, strict=strict)
+            return
+        report = rewrite_constrained(kb, terms)
+        assert report.unresolved_terms == unresolved
+        expected = [] if strict and unresolved else sorted(naive_eval(kb, report.rewritten))
+        assert search_constrained(kb, terms, strict=strict) == expected
+
+    @rule(side=sides, start=st.sampled_from(TARGETS + ["d2"]))
+    def trace_chain(self, side, start):
+        kb = self.base(side)
+        if start not in kb.objects and start not in kb.documents:
+            with pytest.raises(UnknownIdError):
+                kb.trace_chain(start)
+            return
+        chain = kb.trace_chain(start)
+        assert chain[0] == start and chain[-1] not in kb.objects
+        assert all(kb.objects[a].target == b for a, b in zip(chain, chain[1:]))
+
+    # ------------------------------------------------------------ registries
+
+    def _others(self, kb: KnowledgeBase) -> list:
+        return [(other, dict(other.documents), dict(other.annotators))
+                for other in self.bases if other is not kb]
+
+    def _assert_unchanged(self, others: list) -> None:
+        # A copy shares no registry with its source.
+        for other, documents, annotators in others:
+            assert other.documents == documents and other.annotators == annotators
+
+    @rule(side=sides, doc_id=st.sampled_from(TARGETS + ["d2"]), tier=st.sampled_from(DocumentTier))
+    def add_document(self, side, doc_id, tier):
+        kb = self.base(side)
+        others = self._others(kb)
+        record = DocumentRecord(doc_id, tier)
+        if (doc_id in kb.objects) != (tier is DocumentTier.TERTIARY):
+            before = dict(kb.documents)
+            with pytest.raises(ValueError):
+                kb.add_document(record)
+            assert kb.documents == before
+        else:
+            kb.add_document(record)
+            assert kb.document(doc_id) == record
+        self._assert_unchanged(others)
+
+    @rule(side=sides, annotator=st.sampled_from(["a0", "a1"]), role=st.sampled_from(AnnotatorRole))
+    def add_annotator(self, side, annotator, role):
+        kb = self.base(side)
+        others = self._others(kb)
+        profile = AnnotatorProfile(annotator, f"{annotator} {role.value}", role)
+        kb.add_annotator(profile)
+        assert kb.annotators[annotator] is profile
+        self._assert_unchanged(others)
 
     @rule(side=sides)
     def save_and_reload(self, side):
@@ -232,6 +325,9 @@ class BaseAndCaches(RuleBasedStateMachine):
             assert kb.index_by_target == by_target
             assert kb.sorted_ids() == tuple(sorted(kb.objects))
             assert not kb.documents.keys() & kb.objects.keys()
+            targets = {o.target for o in kb.objects.values()}
+            assert targets <= kb.objects.keys() | kb.documents.keys()
+            assert all(d.tier is not DocumentTier.TERTIARY for d in kb.documents.values())
 
     @invariant()
     def kept_rankings_match_the_oracle(self):
