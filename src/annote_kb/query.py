@@ -82,7 +82,8 @@ class Criterion:
     def __post_init__(self) -> None:
         if isinstance(self.values, str):
             raise TypeError("values must be a tuple of terms, not one str")
-        object.__setattr__(self, "values", tuple(self.values))  # a tuple stays itself
+        if not isinstance(self.values, tuple):
+            object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValueError("a criterion needs at least one term")
         for term in self.values:
@@ -101,8 +102,7 @@ class _Node:
     __slots__ = ()
 
     def __repr__(self) -> str:
-        """The text dataclass would generate, such as
-        Not(child=Leaf(criterion=...))."""
+        """The text dataclass would generate, such as Not(child=Leaf(...))."""
         out: list[str] = []
         closers: list[str] = []  # of each open ET/OU node
         for index, nots, node in _walk(self):
@@ -154,13 +154,10 @@ class Not(_Node):
 QueryExpr = Union[Leaf, And, Or, Not]
 
 
-_END = (-1, 0, None)  # what _walk yields after the operands of an ET/OU node
-
-
 def _walk(expr: QueryExpr):
     """The operands of expr in pre-order, as (index among its siblings,
     length of the NON chain above it, the node below that chain), with
-    _END after the operands of each ET/OU node; expr itself is operand 0.
+    (-1, 0, None) after the operands of each ET/OU node; expr is operand 0.
     A node that is no Leaf, And or Or comes out as it is, for its consumer
     to refuse or to print.  The open ET/OU node is its operands and the
     index of the next one; the nodes above it wait on one explicit stack.
@@ -180,7 +177,7 @@ def _walk(expr: QueryExpr):
                 stack.append((operands, index))
                 operands, index = node.children, 0
         elif stack:
-            yield _END
+            yield -1, 0, None
             operands, index = stack.pop()
         else:
             return
@@ -333,16 +330,19 @@ def format_query(expr: QueryExpr) -> str:
             continue
         if index:
             out.append(" OU " if frames[-1][0] else " ET ")
+        if nots:
+            out.append("NON " * nots)
         if isinstance(node, Leaf):
             criterion = node.criterion
-            attribute = "" if criterion.attribute is None else quote(criterion.attribute) + ", "
-            out.append(f"{'NON ' * nots}({attribute}[{', '.join(map(quote, criterion.values))}])")
+            terms = ", ".join(map(quote, criterion.values))
+            attribute = criterion.attribute
+            out.append(f"([{terms}])" if attribute is None else f"({quote(attribute)}, [{terms}])")
         elif isinstance(node, (And, Or)):
             is_or = isinstance(node, Or)
             # NON binds tighter than ET, and ET tighter than OU; a node nested
             # in its own kind keeps its parens so the tree keeps its shape.
             parens = nots or frames and (is_or or not frames[-1][0])
-            out.append("NON " * nots + "(" if parens else "")
+            out.append("(" if parens else "")
             frames.append((is_or, ")" if parens else ""))
         else:
             raise TypeError(f"not a query expression: {node!r}")
