@@ -4,10 +4,10 @@ A hypothesis state machine drives up to three bases (the first and the
 copies taken of it) through inserts, batch loads with bad lines, copies
 with writes to either side, document and annotator registrations, saves
 and reads, over a vocabulary small enough that value lists repeat and
-rankings tie.  After every step, each
-base's indexes, its sorted ids, its kept value rankings and its saved
-text are compared with what a naive rebuild from its objects gives, and
-every read is compared with its oracle in tests/oracles.py as it runs.
+rankings tie.  After every step, each base's indexes, its sorted ids,
+its kept value rankings and its saved text are compared with what a
+naive rebuild from its objects gives, and every read is compared with
+its oracle in tests/oracles.py as it runs.
 """
 
 from dataclasses import replace
