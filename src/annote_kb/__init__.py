@@ -5,142 +5,23 @@ annotations).  The base classifies them as explicit or implicit, infers
 missing attributes or values from the explicit facts, and answers boolean
 queries, including constrained searches over bare terms that are rewritten
 against the inferred attributes.
+
+The public API is __all__: each module declares its own part of it, and
+the package re-exports those names.
 """
 
-from .errors import (
-    AllUnresolvedError,
-    AnnoteKBError,
-    CyclicTargetError,
-    DuplicateIdError,
-    EmptyAttributeError,
-    EmptyTermError,
-    InvalidIdError,
-    InvalidObjectError,
-    InvalidPairError,
-    LineBreakError,
-    NoCandidatesError,
-    NotImplicitError,
-    QuerySyntaxError,
-    UnknownIdError,
-    UnresolvedCriterionError,
-)
-from .factfile import (
-    Diagnostic,
-    IMPORT_META,
-    LoadResult,
-    load_facts,
-    load_facts_into,
-    save_facts,
-)
-from .inference import (
-    AttributeCandidate,
-    Explication,
-    ValueCandidate,
-    explicate,
-    infer_attributes,
-    infer_values,
-)
-from .model import (
-    ActionKind,
-    AnnotationContext,
-    AnnotationMeta,
-    AnnotationObject,
-    AnnotatorProfile,
-    AnnotatorRole,
-    AttributeName,
-    AVPair,
-    DocumentRecord,
-    DocumentTier,
-    Explicitness,
-    Term,
-    Value,
-    as_value,
-    build_object,
-    classify,
-    is_explicit_pair,
-    make_pair,
-    normalize_attribute,
-    normalize_term,
-)
-from .query import (
-    And,
-    Criterion,
-    Leaf,
-    Not,
-    Or,
-    QueryExpr,
-    RewriteReport,
-    evaluate,
-    format_query,
-    matches,
-    parse_query,
-    rewrite_constrained,
-    search_constrained,
-    stored_list_rewrite,
-)
-from .store import KnowledgeBase
+from .errors import *
+from .factfile import *
+from .inference import *
+from .model import *
+from .query import *
+from .store import *
 
-__all__ = [
-    "ActionKind",
-    "AllUnresolvedError",
-    "And",
-    "AnnotationContext",
-    "AnnotationMeta",
-    "AnnotationObject",
-    "AnnotatorProfile",
-    "AnnotatorRole",
-    "AnnoteKBError",
-    "AttributeCandidate",
-    "AttributeName",
-    "AVPair",
-    "Criterion",
-    "CyclicTargetError",
-    "Diagnostic",
-    "DocumentRecord",
-    "DocumentTier",
-    "DuplicateIdError",
-    "EmptyAttributeError",
-    "EmptyTermError",
-    "Explication",
-    "Explicitness",
-    "IMPORT_META",
-    "InvalidIdError",
-    "InvalidObjectError",
-    "InvalidPairError",
-    "KnowledgeBase",
-    "Leaf",
-    "LineBreakError",
-    "LoadResult",
-    "NoCandidatesError",
-    "Not",
-    "NotImplicitError",
-    "Or",
-    "QueryExpr",
-    "QuerySyntaxError",
-    "RewriteReport",
-    "Term",
-    "UnknownIdError",
-    "UnresolvedCriterionError",
-    "Value",
-    "ValueCandidate",
-    "as_value",
-    "build_object",
-    "classify",
-    "evaluate",
-    "explicate",
-    "format_query",
-    "infer_attributes",
-    "infer_values",
-    "is_explicit_pair",
-    "load_facts",
-    "load_facts_into",
-    "make_pair",
-    "matches",
-    "normalize_attribute",
-    "normalize_term",
-    "parse_query",
-    "rewrite_constrained",
-    "save_facts",
-    "search_constrained",
-    "stored_list_rewrite",
-]
+__all__ = (
+    errors.__all__
+    + factfile.__all__
+    + inference.__all__
+    + model.__all__
+    + query.__all__
+    + store.__all__
+)

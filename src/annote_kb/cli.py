@@ -9,8 +9,9 @@
     annote-kb export    --kb kb.facts
     annote-kb stats     --kb kb.facts
 
-Exit codes: 0 success, 1 I/O, syntax or other error, 2 partial ingest,
-3 unresolved terms in a strict find, 4 explicitation found no candidates.
+Exit codes: 0 success, 1 I/O, syntax or other error (a closed stdout and
+Ctrl-C included), 2 partial ingest, 3 unresolved terms in a strict find,
+4 explicitation found no candidates.
 The kb file is re-read on every invocation; only ingest writes it back,
 through a temporary file that is flushed to disk and renamed over it.
 """
@@ -356,12 +357,22 @@ def main(argv: list[str] | None = None) -> int:
         # problems onto the documented I/O-or-syntax code.
         return EXIT_OK if not exc.code else EXIT_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except AnnoteKBError as exc:  # any other engine error is a plain failure
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # As the signal docs' "Note on SIGPIPE" says: stdout goes to devnull,
+        # so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return EXIT_ERROR
 
 

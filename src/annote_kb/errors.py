@@ -1,5 +1,23 @@
 """Exception types raised across the annote-kb engine."""
 
+__all__ = [
+    "AllUnresolvedError",
+    "AnnoteKBError",
+    "CyclicTargetError",
+    "DuplicateIdError",
+    "EmptyAttributeError",
+    "EmptyTermError",
+    "InvalidIdError",
+    "InvalidObjectError",
+    "InvalidPairError",
+    "LineBreakError",
+    "NoCandidatesError",
+    "NotImplicitError",
+    "QuerySyntaxError",
+    "UnknownIdError",
+    "UnresolvedCriterionError",
+]
+
 
 class AnnoteKBError(Exception):
     """Base class for every error this package raises on purpose."""

@@ -43,6 +43,15 @@ IMPORT_META.
 
 from __future__ import annotations
 
+__all__ = [
+    "Diagnostic",
+    "IMPORT_META",
+    "LoadResult",
+    "load_facts",
+    "load_facts_into",
+    "save_facts",
+]
+
 import gc
 import re
 from dataclasses import dataclass

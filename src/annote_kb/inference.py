@@ -10,6 +10,15 @@ as evidence; rank annotations on values are ignored when matching terms.
 
 from __future__ import annotations
 
+__all__ = [
+    "AttributeCandidate",
+    "Explication",
+    "ValueCandidate",
+    "explicate",
+    "infer_attributes",
+    "infer_values",
+]
+
 import heapq
 import itertools
 import sys
@@ -22,6 +31,7 @@ from .model import (
     AVPair,
     Explicitness,
     Value,
+    _term_tuple,
     classify,
     is_explicit_pair,
     normalize_attribute,
@@ -62,11 +72,7 @@ def infer_attributes(kb: KnowledgeBase, terms: list[str]) -> list[AttributeCandi
     empty.  Candidates are ordered by support count descending, then by
     attribute name ascending.  An empty result is a legal outcome.
     """
-    if isinstance(terms, str):
-        raise TypeError("terms must be a list of terms, not one str")
-    if not terms:
-        raise ValueError("at least one term is required")
-    wanted = [normalize_term(t) for t in terms]
+    wanted = [normalize_term(t) for t in _term_tuple(terms)]
     out: list[AttributeCandidate] = []
     for attribute in kb.postings.get(wanted[0], {}):
         covering = kb.covering(attribute, wanted)

@@ -17,6 +17,29 @@ the constructors below refuse any other id with InvalidIdError.
 
 from __future__ import annotations
 
+__all__ = [
+    "ActionKind",
+    "AnnotationContext",
+    "AnnotationMeta",
+    "AnnotationObject",
+    "AnnotatorProfile",
+    "AnnotatorRole",
+    "AttributeName",
+    "AVPair",
+    "DocumentRecord",
+    "DocumentTier",
+    "Explicitness",
+    "Term",
+    "Value",
+    "as_value",
+    "build_object",
+    "classify",
+    "is_explicit_pair",
+    "make_pair",
+    "normalize_attribute",
+    "normalize_term",
+]
+
 import re
 import unicodedata
 from dataclasses import dataclass, field, replace
@@ -68,6 +91,17 @@ def normalize_term(raw: str) -> Term:
         raise EmptyTermError(f"blank term: {raw!r}")
     _check_one_line(text, "term")
     return text
+
+
+def _term_tuple(terms: Iterable[str]) -> tuple[str, ...]:
+    """terms as a tuple.  A bare str raises TypeError, since it would be
+    read as one term per character, and no terms raise ValueError."""
+    if isinstance(terms, str):
+        raise TypeError("terms must be a list of terms, not one str")
+    terms = tuple(terms)
+    if not terms:
+        raise ValueError("at least one term is required")
+    return terms
 
 
 def normalize_attribute(raw: str) -> AttributeName:

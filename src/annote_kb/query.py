@@ -42,6 +42,23 @@ any depth parses, evaluates, prints and compares in time linear in its size.
 
 from __future__ import annotations
 
+__all__ = [
+    "And",
+    "Criterion",
+    "Leaf",
+    "Not",
+    "Or",
+    "QueryExpr",
+    "RewriteReport",
+    "evaluate",
+    "format_query",
+    "matches",
+    "parse_query",
+    "rewrite_constrained",
+    "search_constrained",
+    "stored_list_rewrite",
+]
+
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -61,6 +78,7 @@ from .model import (
     AttributeName,
     Term,
     _check_one_line,
+    _term_tuple,
     covers,
     normalize_attribute,
     normalize_term,
@@ -80,12 +98,7 @@ class Criterion:
     values: tuple[Term, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.values, str):
-            raise TypeError("values must be a tuple of terms, not one str")
-        if not isinstance(self.values, tuple):
-            object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
-            raise ValueError("a criterion needs at least one term")
+        object.__setattr__(self, "values", _term_tuple(self.values))
         for term in self.values:
             _check_one_line(term, "term")
 
@@ -128,13 +141,20 @@ class _Node:
         return hash(_shape(self))
 
 
+def _keep_operands(node: And | Or, keyword: str) -> None:
+    """Keep node's children as a tuple, as AVPair keeps its values, so a
+    list the caller changes later cannot change the tree."""
+    object.__setattr__(node, "children", tuple(node.children))
+    if len(node.children) < 2:
+        raise ValueError(f"{keyword} needs at least two operands")
+
+
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class And(_Node):
     children: tuple["QueryExpr", ...]
 
     def __post_init__(self) -> None:
-        if len(self.children) < 2:
-            raise ValueError("ET needs at least two operands")
+        _keep_operands(self, "ET")
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -142,8 +162,7 @@ class Or(_Node):
     children: tuple["QueryExpr", ...]
 
     def __post_init__(self) -> None:
-        if len(self.children) < 2:
-            raise ValueError("OU needs at least two operands")
+        _keep_operands(self, "OU")
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -460,11 +479,7 @@ def _resolve_terms(kb: KnowledgeBase, terms: list[str]) -> tuple[dict, tuple[Ter
     {attribute: ids} postings of it ({} for none; never change them), and
     the unresolved terms.  Raises TypeError for a bare str, ValueError for
     no terms and AllUnresolvedError when not a single term resolves."""
-    if isinstance(terms, str):
-        raise TypeError("terms must be a list of terms, not one str")
-    if not terms:
-        raise ValueError("at least one term is required")
-    found = {term: kb.postings.get(term, {}) for term in map(normalize_term, terms)}
+    found = {term: kb.postings.get(term, {}) for term in map(normalize_term, _term_tuple(terms))}
     unresolved = tuple(term for term, by_attribute in found.items() if not by_attribute)
     if len(unresolved) == len(found):
         raise AllUnresolvedError(unresolved)

@@ -32,6 +32,8 @@ snapshot when writes may happen concurrently.
 
 from __future__ import annotations
 
+__all__ = ["KnowledgeBase"]
+
 from typing import Iterable
 
 from .errors import (

@@ -645,18 +645,53 @@ def test_cli_never_raises_and_exits_with_a_documented_code(command, fmt, data):
             assert (kb.read_bytes() if kb.exists() else None) == kb_bytes
 
 
+def _src_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH, so a
+    subprocess imports the same annote_kb as the tests."""
+    src = str(pathlib.Path(annote_kb.cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
+# ---------------------------------------------------------------- interruptions
+
+
+def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback(tmp_path):
+    # classify prints about 400 kB in buffer-sized writes, far more than a
+    # pipe and the reader's buffer hold, so a write fails once it has gone.
+    kb = tmp_path / "kb.facts"
+    kb.write_text(
+        "".join(f'annotation(n_{i:040d}, "k", ["v"], d).\n' for i in range(8000)),
+        encoding="utf-8",
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "annote_kb.cli", "classify", "--kb", str(kb)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+    )
+    assert proc.stdout.readline().endswith(b"\texplicit\n")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
+
+
+def test_ctrl_c_is_one_error_line_and_exit_1(kb_path, capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("annote_kb.cli.load_facts", interrupted)
+    assert run(capsys, "stats", "--kb", kb_path) == (1, "", "error: interrupted\n")
+
+
 # ---------------------------------------------------------------- start-up
 
 
 def test_importing_the_cli_skips_uuid_and_datetime():
     # build_object and _now_iso import them when they run; every command
     # would pay for them (and uuid's platform) at start-up otherwise.
-    src = str(pathlib.Path(annote_kb.cli.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", "import annote_kb.cli"],
-        capture_output=True, text=True, env=env, check=True, timeout=60,
+        capture_output=True, text=True, env=_src_env(), check=True, timeout=60,
     )
     imported = {
         line.rsplit("|", 1)[-1].strip()

@@ -25,6 +25,7 @@ from annote_kb import (
     Value,
     evaluate,
     format_query,
+    infer_attributes,
     load_facts_into,
     make_pair,
     matches,
@@ -778,6 +779,21 @@ def test_rewrite_all_unresolved(desk_kb):
     assert err.value.terms == ("zzz", "yyy")
 
 
+@pytest.mark.parametrize("node", [And, Or])
+def test_et_and_ou_keep_their_operands_as_a_tuple(node):
+    # A list the caller changes later must not change the tree, its hash,
+    # or its place in a dict.
+    a, b, c = leaf("k", "a"), leaf("k", "b"), leaf("k", "c")
+    kids = [a, b]
+    expr = node(kids)
+    held = {expr: 1}
+    kids.append(c)
+    assert expr.children == (a, b)
+    assert _reparsed(expr) == node((a, b)) == expr
+    assert expr in held and node((a, b)) in held
+    assert node(iter([a, b])).children == (a, b)
+
+
 def test_rewrite_requires_terms(desk_kb):
     with pytest.raises(ValueError):
         rewrite_constrained(desk_kb, [])
@@ -788,6 +804,22 @@ def test_constrained_reads_refuse_a_bare_str(desk_kb, read):
     # A str is iterable, so it would be read as one term per character.
     with pytest.raises(TypeError, match="list of terms"):
         read(desk_kb, "pertinent")
+
+
+@pytest.mark.parametrize("read", [
+    lambda kb, terms: Criterion("mots-clés", terms),
+    rewrite_constrained,
+    search_constrained,
+    infer_attributes,
+])
+def test_every_list_of_terms_follows_one_rule(desk_kb, read):
+    # Any iterable of terms is read; a bare str and no terms are refused alike.
+    read(desk_kb, iter(["pertinent"]))
+    with pytest.raises(TypeError, match="^terms must be a list of terms, not one str$"):
+        read(desk_kb, "pertinent")
+    for empty in ([], (), iter([])):
+        with pytest.raises(ValueError, match="^at least one term is required$"):
+            read(desk_kb, empty)
 
 
 def test_rewrite_is_deterministic(desk_kb):
